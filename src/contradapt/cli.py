@@ -85,8 +85,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     source_path = os.path.join(args.out, "source.csv")
     target_path = os.path.join(args.out, "target.csv")
+    unlabeled_path = os.path.join(args.out, "target_unlabeled.csv")
     save_csv(source, source_path)
     save_csv(target, target_path)
+    save_csv(target.without_labels(), unlabeled_path)
     _write_json(
         os.path.join(args.out, "gen_manifest.json"),
         {
@@ -94,10 +96,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "version": __version__,
             "command": "gen",
             "generator": source.meta,
-            "artifacts": {"source": source_path, "target": target_path},
+            "artifacts": {"source": source_path, "target": target_path,
+                          "target_unlabeled": unlabeled_path},
         },
     )
-    print(f"wrote {source_path} ({source.n} rows) and {target_path} ({target.n} rows)")
+    print(f"wrote {source_path} ({source.n} rows), {target_path} and {unlabeled_path} "
+          f"({target.n} rows each)")
     return 0
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_matrix, kernel_matrix_grad
+from .kernels import KernelSpec, kernel_matrix, kernel_value_and_grad
 
 
 @dataclass
@@ -139,13 +139,8 @@ def _specs_for(batch: LabeledBatch, specs) -> list[KernelSpec]:
     return out
 
 
-def _layer_tables(spec, s, t, ms, mt, ns, nt):
+def _layer_tables(k_ss, k_tt, k_st, ms, mt, ns_safe, nt_safe):
     """Per-class kernel means E1, E2 (vectors) and E3 (matrix), zero where undefined."""
-    k_ss = kernel_matrix(spec, s, s)
-    k_tt = kernel_matrix(spec, t, t)
-    k_st = kernel_matrix(spec, s, t)
-    ns_safe = np.where(ns > 0, ns, 1.0)
-    nt_safe = np.where(nt > 0, nt, 1.0)
     e1 = np.einsum("ic,ij,jc->c", ms, k_ss, ms) / ns_safe**2
     e2 = np.einsum("ic,ij,jc->c", mt, k_tt, mt) / nt_safe**2
     e3 = (ms.T @ k_st @ mt) / np.outer(ns_safe, nt_safe)
@@ -153,7 +148,7 @@ def _layer_tables(spec, s, t, ms, mt, ns, nt):
 
 
 def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
-    """Masks, counts, and averaging weights shared by value and gradient paths."""
+    """Masks, safe counts, and averaging masks shared by value and gradient paths."""
     batch.validate(require_both_domains=not skip_missing_pairs)
     classes = np.asarray(batch.class_set, dtype=int)
     ms = (batch.source_labels[:, None] == classes[None, :]).astype(float)
@@ -166,7 +161,71 @@ def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool)
     inter_mask = estimable & ~eye
     if intra_only:
         inter_mask = np.zeros_like(inter_mask)
-    return classes, ms, mt, ns, nt, intra_mask, inter_mask
+    ns_safe = np.where(ns > 0, ns, 1.0)
+    nt_safe = np.where(nt > 0, nt, 1.0)
+    return classes, ms, mt, ns_safe, nt_safe, intra_mask, inter_mask
+
+
+def _upstreams(ms, mt, ns_safe, nt_safe, intra_mask, inter_mask):
+    """Upstream matrices of the ss, tt and st kernel blocks in the total."""
+    n_intra = int(intra_mask.sum())
+    n_inter = int(inter_mask.sum())
+    # Weight of each ordered pair inside the total.
+    w = np.zeros(intra_mask.shape)
+    if n_intra:
+        w[intra_mask] = 1.0 / n_intra
+    if n_inter:
+        w[inter_mask] = -1.0 / n_inter
+    # e1 of class c1 enters every pair in its row, e2 of c2 every pair in its
+    # column; collapsing those sums gives block-constant upstream matrices.
+    u_ss = (ms * (w.sum(axis=1) / ns_safe**2)[None, :]) @ ms.T
+    u_tt = (mt * (w.sum(axis=0) / nt_safe**2)[None, :]) @ mt.T
+    u_st = -2.0 * (ms @ (w / np.outer(ns_safe, nt_safe)) @ mt.T)
+    return u_ss, u_tt, u_st
+
+
+def _layer_terms(layer_specs, batch: LabeledBatch, setup, with_grad: bool):
+    """Per layer: the pair discrepancy table ``d``, its intra and inter means,
+    and (with ``with_grad``) the ``(grad_source, grad_target)`` of the total.
+
+    Each kernel block is evaluated once and serves both value and gradient.
+    """
+    _, ms, mt, ns_safe, nt_safe, intra_mask, inter_mask = setup
+    n_intra = int(intra_mask.sum())
+    n_inter = int(inter_mask.sum())
+    u_ss, u_tt, u_st = _upstreams(*setup[1:]) if with_grad else (None, None, None)
+    out = []
+    for spec, s, t in zip(layer_specs, batch.source_features, batch.target_features):
+        k_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
+        k_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
+        k_st, g_st = kernel_value_and_grad(spec, s, t, u_st)
+        e1, e2, e3 = _layer_tables(k_ss, k_tt, k_st, ms, mt, ns_safe, nt_safe)
+        d = e1[:, None] + e2[None, :] - 2.0 * e3
+        intra = float(d[intra_mask].sum() / n_intra) if n_intra else 0.0
+        inter = float(d[inter_mask].sum() / n_inter) if n_inter else 0.0
+        grads = (g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]) if with_grad else None
+        out.append((d, intra, inter, grads))
+    return out
+
+
+def cdd_value_and_grad(
+    specs,
+    batch: LabeledBatch,
+    intra_only: bool = False,
+    skip_missing_pairs: bool = False,
+    with_grad: bool = True,
+) -> tuple[float, list[tuple[np.ndarray, np.ndarray]] | None]:
+    """``cdd(...).total`` and, with ``with_grad``, ``cdd_grad(...)`` from one
+    kernel evaluation per block; both equal the separate calls bit for bit.
+
+    Returns:
+        ``(total, grads)``; ``grads`` is None without ``with_grad``.
+    """
+    layer_specs = _specs_for(batch, specs)
+    setup = _pair_setup(batch, skip_missing_pairs, intra_only)
+    terms = _layer_terms(layer_specs, batch, setup, with_grad)
+    total = sum(v[1] for v in terms) - sum(v[2] for v in terms)
+    return total, [v[3] for v in terms] if with_grad else None
 
 
 def cdd(
@@ -175,7 +234,9 @@ def cdd(
     intra_only: bool = False,
     skip_missing_pairs: bool = False,
 ) -> CddValue:
-    """Contrastive discrepancy of a batch, summed over layers.
+    """Contrastive discrepancy of a batch, summed over layers, with its
+    per-pair and per-layer breakdown (for tests and diagnostics; training
+    uses ``cdd_value_and_grad``).
 
     Args:
         specs: one KernelSpec per layer, or a single spec reused everywhere.
@@ -185,26 +246,16 @@ def cdd(
         intra_only: drop the cross-class term (``inter`` reported as 0).
     """
     layer_specs = _specs_for(batch, specs)
-    classes, ms, mt, ns, nt, intra_mask, inter_mask = _pair_setup(
-        batch, skip_missing_pairs, intra_only
-    )
-    n_intra = int(intra_mask.sum())
-    n_inter = int(inter_mask.sum())
-    per_layer: list[tuple[float, float, float]] = []
-    pair_sum = np.zeros((len(classes), len(classes)))
-    for spec, s, t in zip(layer_specs, batch.source_features, batch.target_features):
-        e1, e2, e3 = _layer_tables(spec, s, t, ms, mt, ns, nt)
-        d = e1[:, None] + e2[None, :] - 2.0 * e3
-        intra = float(d[intra_mask].sum() / n_intra) if n_intra else 0.0
-        inter = float(d[inter_mask].sum() / n_inter) if n_inter else 0.0
-        per_layer.append((intra, inter, intra - inter))
-        pair_sum += d
-    n_layers = len(layer_specs)
+    setup = _pair_setup(batch, skip_missing_pairs, intra_only)
+    classes, intra_mask, inter_mask = setup[0], setup[5], setup[6]
+    terms = _layer_terms(layer_specs, batch, setup, with_grad=False)
+    per_layer = [(intra, inter, intra - inter) for _, intra, inter, _ in terms]
+    pair_sum = sum(d for d, *_ in terms)
     per_pair: dict[tuple[int, int], float] = {}
     for i, c1 in enumerate(classes):
         for j, c2 in enumerate(classes):
             if intra_mask[i, j] or inter_mask[i, j]:
-                per_pair[(int(c1), int(c2))] = float(pair_sum[i, j] / n_layers)
+                per_pair[(int(c1), int(c2))] = float(pair_sum[i, j] / len(terms))
     intra_total = sum(v[0] for v in per_layer)
     inter_total = sum(v[1] for v in per_layer)
     return CddValue(
@@ -228,31 +279,4 @@ def cdd_grad(
         One ``(grad_source, grad_target)`` pair per layer, shaped like the
         corresponding feature arrays.
     """
-    layer_specs = _specs_for(batch, specs)
-    classes, ms, mt, ns, nt, intra_mask, inter_mask = _pair_setup(
-        batch, skip_missing_pairs, intra_only
-    )
-    n_intra = int(intra_mask.sum())
-    n_inter = int(inter_mask.sum())
-    # Weight of each ordered pair inside the total.
-    w = np.zeros((len(classes), len(classes)))
-    if n_intra:
-        w[intra_mask] = 1.0 / n_intra
-    if n_inter:
-        w[inter_mask] = -1.0 / n_inter
-    ns_safe = np.where(ns > 0, ns, 1.0)
-    nt_safe = np.where(nt > 0, nt, 1.0)
-    # e1 of class c1 enters every pair in its row, e2 of c2 every pair in its
-    # column; collapsing those sums gives block-constant upstream matrices.
-    row_w = w.sum(axis=1)
-    col_w = w.sum(axis=0)
-    u_ss = (ms * (row_w / ns_safe**2)[None, :]) @ ms.T
-    u_tt = (mt * (col_w / nt_safe**2)[None, :]) @ mt.T
-    u_st = -2.0 * (ms @ (w / np.outer(ns_safe, nt_safe)) @ mt.T)
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
-    for spec, s, t in zip(layer_specs, batch.source_features, batch.target_features):
-        ga_ss, gb_ss = kernel_matrix_grad(spec, s, s, u_ss)
-        ga_tt, gb_tt = kernel_matrix_grad(spec, t, t, u_tt)
-        ga_st, gb_st = kernel_matrix_grad(spec, s, t, u_st)
-        grads.append((ga_ss + gb_ss + ga_st, ga_tt + gb_tt + gb_st))
-    return grads
+    return cdd_value_and_grad(specs, batch, intra_only, skip_missing_pairs)[1]

@@ -14,17 +14,8 @@ import numpy as np
 
 from .discrepancy import LabeledBatch, cdd, cdd_grad
 from .kernels import KernelSpec, kernel_matrix, kernel_matrix_grad, uniform_spec
-from .model import (
-    add_params_,
-    backward,
-    cross_entropy,
-    cross_entropy_grad,
-    forward,
-    init_params,
-    params_to_vector,
-    vector_to_params,
-    zeros_like_params,
-)
+from .model import forward, init_params, params_to_vector, vector_to_params, zeros_like_params
+from .trainer import add_cdd_grads, add_ce_grads, tapped_batch
 
 DEFAULT_STEP = 1e-5
 
@@ -154,32 +145,16 @@ def composite_loss_and_grads(params, specs, beta, ce_inputs, ce_labels,
                              src_inputs, src_labels, tgt_inputs, tgt_labels, class_set):
     """Classification CE plus beta * discrepancy through the network.
 
-    Returns the scalar loss and the summed analytic parameter gradients, the
-    same composition the trainer applies at each step.
+    Returns the scalar loss and the summed analytic parameter gradients,
+    built by the same helpers the trainer applies at each step.
     """
-    stack_ce = forward(params, ce_inputs)
+    grads = zeros_like_params(params)
     stack_s = forward(params, src_inputs)
     stack_t = forward(params, tgt_inputs)
-    batch = LabeledBatch(
-        source_features=[stack_s.bottleneck, stack_s.logits],
-        target_features=[stack_t.bottleneck, stack_t.logits],
-        source_labels=src_labels,
-        target_labels=tgt_labels,
-        class_set=class_set,
-    )
-    value = cdd(specs, batch)
-    loss = cross_entropy(stack_ce.probs, ce_labels) + beta * value.total
-    grads = zeros_like_params(params)
-    add_params_(grads, backward(params, stack_ce,
-                                logits_grad=cross_entropy_grad(stack_ce.probs, ce_labels)))
-    layer_grads = cdd_grad(specs, batch)
-    add_params_(grads, backward(params, stack_s, beta=beta,
-                                tap_grads={"bottleneck": layer_grads[0][0],
-                                           "logits": layer_grads[1][0]}))
-    add_params_(grads, backward(params, stack_t, beta=beta,
-                                tap_grads={"bottleneck": layer_grads[0][1],
-                                           "logits": layer_grads[1][1]}))
-    return loss, grads
+    batch = tapped_batch(stack_s, stack_t, src_labels, tgt_labels, class_set)
+    ce = add_ce_grads(grads, params, ce_inputs, ce_labels)
+    value = add_cdd_grads(grads, params, specs, stack_s, stack_t, batch, beta)
+    return ce + beta * value, grads
 
 
 def check_composite_gradients(

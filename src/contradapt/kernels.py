@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _WEIGHT_TOL = 1e-12
+_DEGENERATE_MEDIAN = 1e-12  # relative to the largest squared row norm
 DEFAULT_BANDWIDTH_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
@@ -75,8 +76,9 @@ def _as_rows(x, width: int | None = None) -> np.ndarray:
 def median_heuristic(features_a, features_b) -> float:
     """Median of pairwise squared distances over the pooled rows.
 
-    Self-pairs are excluded.  A degenerate median of zero (all points
-    coincide) falls back to 1.0 so downstream kernels stay well defined.
+    Self-pairs are excluded.  A degenerate median (points coincide up to
+    rounding: at most 1e-12 of the largest squared row norm) falls back to
+    1.0 so downstream kernels and their gradients stay finite.
 
     Raises:
         ValueError: if the pooled input holds fewer than two rows.
@@ -91,7 +93,8 @@ def median_heuristic(features_a, features_b) -> float:
         raise ValueError("no samples for bandwidth")
     d2 = squared_distances(pooled, pooled)
     med = float(np.median(d2[np.triu_indices(n, k=1)]))
-    return med if med > 0.0 else 1.0
+    scale = float(np.max(np.sum(pooled * pooled, axis=1)))
+    return med if med > _DEGENERATE_MEDIAN * scale else 1.0
 
 
 def median_kernel_spec(
@@ -117,18 +120,43 @@ def _check_pair(features_a, features_b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream=None):
+    """Mixture kernel matrix and, given ``upstream``, the gradients of
+    ``sum(upstream * K)`` w.r.t. both inputs, from one evaluation.
+
+    All M components are stacked as ``E[m] = exp(-d2 / (2 s2_m))`` of shape
+    ``(M, n_a, n_b)``.  With ``S = upstream * (w / s2) * E``, component m
+    contributes ``S_m @ b - rowsum(S_m) * a`` to ``grad_a``.  Components are
+    reduced along the leading axis in order, so results equal a loop over
+    components bit for bit.  (Exception: NumPy sums pairwise when a result
+    has a single element and there are 8 or more components.)
+
+    Returns:
+        ``(K, grads)``: the ``(n_a, n_b)`` kernel matrix, and ``(grad_a, grad_b)``
+        shaped like the inputs, or None without ``upstream``.
+    """
+    a, b = _check_pair(features_a, features_b)
+    w = np.asarray(spec.weights)[:, None, None]
+    s2 = np.asarray(spec.bandwidths)[:, None, None]
+    e = np.exp(squared_distances(a, b) / (-2.0 * s2))
+    k = (w * e).sum(axis=0)
+    if upstream is None:
+        return k, None
+    up = np.asarray(upstream, dtype=float)
+    if up.shape != k.shape:
+        raise ValueError(f"upstream shape {up.shape} does not match {k.shape}")
+    s = up * ((w / s2) * e)
+    grad_a = (s @ b - s.sum(axis=2)[..., None] * a).sum(axis=0)
+    grad_b = (s.transpose(0, 2, 1) @ a - s.sum(axis=1)[..., None] * b).sum(axis=0)
+    return k, (grad_a, grad_b)
+
+
 def kernel_matrix(spec: KernelSpec, features_a, features_b) -> np.ndarray:
     """Evaluate the mixture kernel between all row pairs.
 
     Returns an ``(n_a, n_b)`` matrix; entries lie in ``(0, 1]``.
     """
-    a, b = _check_pair(features_a, features_b)
-    d2 = squared_distances(a, b)
-    out = np.zeros_like(d2)
-    # Fixed summation order over components keeps runs bit-identical.
-    for w, s2 in zip(spec.weights, spec.bandwidths):
-        out += w * np.exp(d2 / (-2.0 * s2))
-    return out
+    return kernel_value_and_grad(spec, features_a, features_b)[0]
 
 
 def kernel_matrix_grad(
@@ -142,17 +170,4 @@ def kernel_matrix_grad(
     Returns:
         ``(grad_a, grad_b)`` with the shapes of ``features_a`` / ``features_b``.
     """
-    a, b = _check_pair(features_a, features_b)
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != (a.shape[0], b.shape[0]):
-        raise ValueError(
-            f"upstream shape {up.shape} does not match ({a.shape[0]}, {b.shape[0]})"
-        )
-    d2 = squared_distances(a, b)
-    grad_a = np.zeros_like(a)
-    grad_b = np.zeros_like(b)
-    for w, s2 in zip(spec.weights, spec.bandwidths):
-        s = up * ((w / s2) * np.exp(d2 / (-2.0 * s2)))
-        grad_a += s @ b - s.sum(axis=1)[:, None] * a
-        grad_b += s.T @ a - s.sum(axis=0)[:, None] * b
-    return grad_a, grad_b
+    return kernel_value_and_grad(spec, features_a, features_b, upstream)[1]

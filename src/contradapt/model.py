@@ -8,6 +8,7 @@ Everything is plain float64 numpy; no autodiff framework is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,25 +18,45 @@ _LOG_EPS = 1e-12
 CHECKPOINT_HEADER = "contradapt-checkpoint v1"
 
 
-@dataclass
 class ModelParams:
-    """Weights and biases; also reused as the container for gradients/velocity."""
+    """Weights and biases; also reused as the container for gradients/velocity.
 
-    hidden_weights: list[np.ndarray]
-    hidden_biases: list[np.ndarray]
-    bottleneck_weight: np.ndarray
-    bottleneck_bias: np.ndarray
-    logits_weight: np.ndarray
-    logits_bias: np.ndarray
+    Every array is a view into one contiguous float64 vector ``flat`` (in
+    ``arrays()`` order), so accumulation and updates run on that vector.
+    """
+
+    def __init__(self, hidden_weights, hidden_biases, bottleneck_weight, bottleneck_bias,
+                 logits_weight, logits_bias) -> None:
+        order = [a for pair in zip(hidden_weights, hidden_biases) for a in pair]
+        order += [bottleneck_weight, bottleneck_bias, logits_weight, logits_bias]
+        order = [np.asarray(a, dtype=float) for a in order]
+        self._bind(np.concatenate([a.ravel() for a in order]), [a.shape for a in order])
+
+    @classmethod
+    def on_buffer(cls, flat: np.ndarray, template: "ModelParams") -> "ModelParams":
+        """A container shaped like ``template`` whose arrays are views of ``flat``."""
+        if flat.shape != template.flat.shape:
+            raise ValueError("vector length does not match parameter count")
+        out = cls.__new__(cls)
+        out._bind(flat, template._shapes)
+        return out
+
+    def _bind(self, flat: np.ndarray, shapes) -> None:
+        self.flat, self._shapes = flat, shapes
+        views, offset = [], 0  # in arrays() order
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[offset : offset + size].reshape(shape))
+            offset += size
+        n = len(views) // 2 - 2
+        self.hidden_weights, self.hidden_biases = views[0 : 2 * n : 2], views[1 : 2 * n : 2]
+        (self.bottleneck_weight, self.bottleneck_bias,
+         self.logits_weight, self.logits_bias) = views[2 * n :]
+        self._views = views
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed traversal order."""
-        out: list[np.ndarray] = []
-        for w, b in zip(self.hidden_weights, self.hidden_biases):
-            out.extend((w, b))
-        out.extend((self.bottleneck_weight, self.bottleneck_bias))
-        out.extend((self.logits_weight, self.logits_bias))
-        return out
+        return list(self._views)
 
     @property
     def in_dim(self) -> int:
@@ -47,14 +68,7 @@ class ModelParams:
         return self.logits_weight.shape[1]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            hidden_weights=[w.copy() for w in self.hidden_weights],
-            hidden_biases=[b.copy() for b in self.hidden_biases],
-            bottleneck_weight=self.bottleneck_weight.copy(),
-            bottleneck_bias=self.bottleneck_bias.copy(),
-            logits_weight=self.logits_weight.copy(),
-            logits_bias=self.logits_bias.copy(),
-        )
+        return ModelParams.on_buffer(self.flat.copy(), self)
 
 
 @dataclass
@@ -84,8 +98,6 @@ class LrSchedule:
     b: float = 0.75
     momentum: float = 0.9
     total_steps: int = 1000
-    hidden_lr_mult: float = 1.0
-    bottleneck_lr_mult: float = 1.0
     logits_lr_mult: float = 10.0
 
     def __post_init__(self) -> None:
@@ -133,14 +145,7 @@ def init_params(
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
-    return ModelParams(
-        hidden_weights=[np.zeros_like(w) for w in params.hidden_weights],
-        hidden_biases=[np.zeros_like(b) for b in params.hidden_biases],
-        bottleneck_weight=np.zeros_like(params.bottleneck_weight),
-        bottleneck_bias=np.zeros_like(params.bottleneck_bias),
-        logits_weight=np.zeros_like(params.logits_weight),
-        logits_bias=np.zeros_like(params.logits_bias),
-    )
+    return ModelParams.on_buffer(np.zeros_like(params.flat), params)
 
 
 init_velocity = zeros_like_params
@@ -148,8 +153,7 @@ init_velocity = zeros_like_params
 
 def add_params_(dst: ModelParams, src: ModelParams) -> ModelParams:
     """In-place elementwise accumulation of one gradient container into another."""
-    for d, s in zip(dst.arrays(), src.arrays()):
-        d += s
+    dst.flat += src.flat
     return dst
 
 
@@ -252,13 +256,6 @@ def backward(
     return grads
 
 
-def _lr_multipliers(params: ModelParams, schedule: LrSchedule) -> list[float]:
-    mults = [schedule.hidden_lr_mult] * (2 * len(params.hidden_weights))
-    mults += [schedule.bottleneck_lr_mult] * 2
-    mults += [schedule.logits_lr_mult] * 2
-    return mults
-
-
 def sgd_step(
     params: ModelParams,
     grads: ModelParams,
@@ -273,46 +270,33 @@ def sgd_step(
     """
     if not 0 <= step < schedule.total_steps:
         raise ValueError(f"step {step} outside schedule of {schedule.total_steps} steps")
-    for g in grads.arrays():
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"divergence: non-finite gradient at step {step}")
+    if not np.isfinite(grads.flat).all():
+        raise ValueError(f"divergence: non-finite gradient at step {step}")
     eta = schedule.eta_at(step / schedule.total_steps)
-    for theta, g, v, mult in zip(
-        params.arrays(), grads.arrays(), velocity.arrays(), _lr_multipliers(params, schedule)
-    ):
-        v *= schedule.momentum
-        v += g
-        theta -= (eta * mult) * v
-        if not np.all(np.isfinite(theta)):
-            raise ValueError(f"divergence: non-finite parameters at step {step}")
+    mult = np.ones_like(params.flat)
+    n_logits = params.logits_weight.size + params.logits_bias.size
+    mult[params.flat.size - n_logits :] = schedule.logits_lr_mult
+    velocity.flat *= schedule.momentum
+    velocity.flat += grads.flat
+    params.flat -= (eta * mult) * velocity.flat
+    if not np.isfinite(params.flat).all():
+        raise ValueError(f"divergence: non-finite parameters at step {step}")
     return eta
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in params.arrays()])
+    return params.flat.copy()
 
 
 def vector_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    out = zeros_like_params(template)
-    if vec.size != sum(a.size for a in out.arrays()):
-        raise ValueError("vector length does not match parameter count")
-    offset = 0
-    for a in out.arrays():
-        a[:] = vec[offset : offset + a.size].reshape(a.shape)
-        offset += a.size
-    return out
+    return ModelParams.on_buffer(np.array(vec, dtype=float).ravel(), template)
 
 
 def _named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    named: list[tuple[str, np.ndarray]] = []
-    for i, (w, b) in enumerate(zip(params.hidden_weights, params.hidden_biases)):
-        named.append((f"hidden.{i}.weight", w))
-        named.append((f"hidden.{i}.bias", b))
-    named.append(("bottleneck.weight", params.bottleneck_weight))
-    named.append(("bottleneck.bias", params.bottleneck_bias))
-    named.append(("logits.weight", params.logits_weight))
-    named.append(("logits.bias", params.logits_bias))
-    return named
+    names = [f"hidden.{i}.{kind}" for i in range(len(params.hidden_weights))
+             for kind in ("weight", "bias")]
+    names += ["bottleneck.weight", "bottleneck.bias", "logits.weight", "logits.bias"]
+    return list(zip(names, params.arrays()))
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

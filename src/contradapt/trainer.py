@@ -23,9 +23,10 @@ import numpy as np
 
 from .clustering import filter_targets, source_class_centers, spherical_kmeans
 from .data import Dataset
-from .discrepancy import LabeledBatch, cdd, cdd_grad
+from .discrepancy import LabeledBatch, cdd_value_and_grad
 from .kernels import median_kernel_spec
 from .model import (
+    TAPPED_LAYERS,
     LrSchedule,
     ModelParams,
     add_params_,
@@ -53,6 +54,8 @@ METHODS = (
 )
 
 _CDD_METHODS = ("can", "intra-only", "no-ao", "no-cas")
+_AT_LEAST_ONE = ("probe_per_class", "classes_per_batch", "per_class_source", "per_class_target",
+                 "ce_batch_size", "bottleneck_dim", "kmeans_max_iters")
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,25 @@ class TrainConfig:
             raise ValueError("beta must be >= 0")
         if not 0.0 <= self.d0 <= 1.0 or self.n0 < 0:
             raise ValueError("need d0 in [0, 1] and n0 >= 0")
-        if self.probe_per_class < 1:
-            raise ValueError("probe_per_class must be >= 1")
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
         object.__setattr__(
             self, "bandwidth_multipliers", tuple(float(m) for m in self.bandwidth_multipliers)
         )
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if any(h < 1 for h in self.hidden_sizes):
+            raise ValueError("hidden_sizes must all be >= 1")
+        for name in ("eta0", "lr_a", "lr_b", "logits_lr_mult"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if not self.kmeans_tol >= 0.0:
+            raise ValueError("kmeans_tol must be >= 0")
+        m = self.bandwidth_multipliers
+        if not m or not all(0.0 < v < np.inf for v in m):
+            raise ValueError("bandwidth_multipliers must be nonempty, positive and finite")
 
     @property
     def total_steps(self) -> int:
@@ -253,14 +269,44 @@ def _build_probe(rng: np.random.Generator, source: Dataset, target: Dataset,
     )
 
 
-def _tapped_layers(stack) -> list[np.ndarray]:
-    return [stack.bottleneck, stack.logits]
+def tapped_batch(stack_s, stack_t, source_labels, target_labels, class_set) -> LabeledBatch:
+    """The discrepancy batch of two forward passes, one layer per tap."""
+    return LabeledBatch(
+        source_features=[getattr(stack_s, name) for name in TAPPED_LAYERS],
+        target_features=[getattr(stack_t, name) for name in TAPPED_LAYERS],
+        source_labels=source_labels,
+        target_labels=target_labels,
+        class_set=class_set,
+    )
 
 
-def _layer_specs(config: TrainConfig, source_layers, target_layers):
+def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack_t,
+                  batch: LabeledBatch, beta: float, intra_only: bool = False,
+                  skip_missing_pairs: bool = False) -> float:
+    """Add ``beta`` times the discrepancy's parameter gradient into ``grads``
+    (skipped at ``beta == 0``); returns the discrepancy value."""
+    total, layer_grads = cdd_value_and_grad(
+        specs, batch, intra_only, skip_missing_pairs, with_grad=beta > 0.0
+    )
+    if beta > 0.0:
+        for side, stack in enumerate((stack_s, stack_t)):
+            taps = {name: g[side] for name, g in zip(TAPPED_LAYERS, layer_grads)}
+            add_params_(grads, backward(params, stack, tap_grads=taps, beta=beta))
+    return total
+
+
+def add_ce_grads(grads: ModelParams, params: ModelParams, inputs, labels) -> float:
+    """Add the gradient of mean cross-entropy into ``grads``; returns the loss."""
+    stack = forward(params, inputs)
+    add_params_(grads, backward(params, stack,
+                                logits_grad=cross_entropy_grad(stack.probs, labels)))
+    return cross_entropy(stack.probs, labels)
+
+
+def _layer_specs(config: TrainConfig, batch: LabeledBatch):
     return [
         median_kernel_spec(s, t, multipliers=config.bandwidth_multipliers)
-        for s, t in zip(source_layers, target_layers)
+        for s, t in zip(batch.source_features, batch.target_features)
     ]
 
 
@@ -275,16 +321,10 @@ def _cdd_g(state: TrainState, config: TrainConfig) -> float | None:
         return None
     stack_s = forward(state.params, state.source.features[probe.source_indices])
     stack_t = forward(state.params, state.target.features[probe.target_indices])
-    src_layers, tgt_layers = _tapped_layers(stack_s), _tapped_layers(stack_t)
-    batch = LabeledBatch(
-        source_features=src_layers,
-        target_features=tgt_layers,
-        source_labels=probe.source_labels,
-        target_labels=probe.target_labels,
-        class_set=probe.classes,
-    )
-    specs = _layer_specs(config, src_layers, tgt_layers)
-    return float(cdd(specs, batch).total)
+    batch = tapped_batch(stack_s, stack_t, probe.source_labels, probe.target_labels,
+                         probe.classes)
+    specs = _layer_specs(config, batch)
+    return float(cdd_value_and_grad(specs, batch, with_grad=False)[0])
 
 
 def _cluster_target(state: TrainState, config: TrainConfig) -> _PseudoLabels:
@@ -311,32 +351,16 @@ def _discrepancy_grads(state: TrainState, config: TrainConfig, specs_box: list,
     """
     method = config.method
     src, tgt = state.source, state.target
-    intra_only = method == "intra-only"
+    skip_missing = method == "no-cas"
     if method in ("can", "intra-only"):
         if pseudo is None or not pseudo.kept_classes:
             return None
-        cas = class_aware_batch(
-            state.plan,
-            src.labels,
-            pseudo.kept_indices,
-            pseudo.assignments[pseudo.kept_indices],
-            pseudo.kept_classes,
-        )
-        src_idx, tgt_idx = cas.source_indices, cas.target_indices
-        src_labels, tgt_labels = cas.source_labels, cas.target_labels
-        class_set = cas.classes
-        skip_missing = False
+        pool, pool_labels = pseudo.kept_indices, pseudo.assignments[pseudo.kept_indices]
+        eligible = pseudo.kept_classes
     elif method == "no-ao":
-        preds = predict(state.params, tgt.features)
-        eligible = np.unique(preds)
-        cas = class_aware_batch(
-            state.plan, src.labels, np.arange(tgt.n), preds, eligible
-        )
-        src_idx, tgt_idx = cas.source_indices, cas.target_indices
-        src_labels, tgt_labels = cas.source_labels, cas.target_labels
-        class_set = cas.classes
-        skip_missing = False
-    elif method == "no-cas":
+        pool, pool_labels = np.arange(tgt.n), predict(state.params, tgt.features)
+        eligible = np.unique(pool_labels)
+    elif skip_missing:
         if pseudo is None or pseudo.kept_indices.size == 0:
             return None
         n_src = config.classes_per_batch * config.per_class_source
@@ -346,30 +370,19 @@ def _discrepancy_grads(state: TrainState, config: TrainConfig, specs_box: list,
         src_labels = src.labels[src_idx]
         tgt_labels = pseudo.assignments[tgt_idx]
         class_set = tuple(sorted(set(src_labels.tolist()) | set(tgt_labels.tolist())))
-        skip_missing = True
     else:
         return None
+    if not skip_missing:
+        cas = class_aware_batch(state.plan, src.labels, pool, pool_labels, eligible)
+        src_idx, tgt_idx = cas.source_indices, cas.target_indices
+        src_labels, tgt_labels, class_set = cas.source_labels, cas.target_labels, cas.classes
     stack_s = forward(state.params, src.features[src_idx])
     stack_t = forward(state.params, tgt.features[tgt_idx])
-    src_layers, tgt_layers = _tapped_layers(stack_s), _tapped_layers(stack_t)
+    batch = tapped_batch(stack_s, stack_t, src_labels, tgt_labels, class_set)
     if not specs_box:
-        specs_box.append(_layer_specs(config, src_layers, tgt_layers))
-    specs = specs_box[0]
-    batch = LabeledBatch(
-        source_features=src_layers,
-        target_features=tgt_layers,
-        source_labels=src_labels,
-        target_labels=tgt_labels,
-        class_set=class_set,
-    )
-    value = cdd(specs, batch, intra_only=intra_only, skip_missing_pairs=skip_missing)
-    if config.beta > 0.0:
-        layer_grads = cdd_grad(specs, batch, intra_only=intra_only, skip_missing_pairs=skip_missing)
-        taps_s = {"bottleneck": layer_grads[0][0], "logits": layer_grads[1][0]}
-        taps_t = {"bottleneck": layer_grads[0][1], "logits": layer_grads[1][1]}
-        add_params_(grads, backward(state.params, stack_s, tap_grads=taps_s, beta=config.beta))
-        add_params_(grads, backward(state.params, stack_t, tap_grads=taps_t, beta=config.beta))
-    return float(value.total)
+        specs_box.append(_layer_specs(config, batch))
+    return float(add_cdd_grads(grads, state.params, specs_box[0], stack_s, stack_t, batch,
+                               config.beta, method == "intra-only", skip_missing))
 
 
 def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
@@ -417,25 +430,10 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
                 cdd_values.append(value)
         elif method in ("pseudo0", "pseudo1") and pseudo is not None and n_kept > 0:
             t_idx = draw(state.plan.cas_rng, pseudo.kept_indices, config.ce_batch_size)
-            stack_pt = forward(state.params, tgt.features[t_idx])
-            pseudo_labels = pseudo.assignments[t_idx]
-            add_params_(
-                grads,
-                backward(
-                    state.params,
-                    stack_pt,
-                    logits_grad=cross_entropy_grad(stack_pt.probs, pseudo_labels),
-                ),
-            )
+            add_ce_grads(grads, state.params, tgt.features[t_idx], pseudo.assignments[t_idx])
         ce_idx = uniform_source_batch(state.plan, src.n)
-        stack_ce = forward(state.params, src.features[ce_idx])
-        ce_labels = src.labels[ce_idx]
-        ce_values.append(cross_entropy(stack_ce.probs, ce_labels))
-        add_params_(
-            grads,
-            backward(
-                state.params, stack_ce, logits_grad=cross_entropy_grad(stack_ce.probs, ce_labels)
-            ),
+        ce_values.append(
+            add_ce_grads(grads, state.params, src.features[ce_idx], src.labels[ce_idx])
         )
         sgd_step(state.params, grads, state.velocity, schedule, state.step)
         state.step += 1

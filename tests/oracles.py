@@ -2,7 +2,9 @@
 
 Everything here is written as a literal transcription of the definitions --
 scalar loops, no vectorization -- so agreement with the library is evidence,
-not tautology.
+not tautology.  The ``loop_kernel_*`` references are the exception: they
+loop over mixture components on whole matrices, the arithmetic the batched
+library kernels must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,12 +14,39 @@ import math
 
 import numpy as np
 
+from contradapt.kernels import squared_distances
+
 
 def naive_kernel(spec, a, b) -> float:
     d2 = sum((float(x) - float(y)) ** 2 for x, y in zip(a, b))
     return sum(
         w * math.exp(-d2 / (2.0 * s2)) for w, s2 in zip(spec.weights, spec.bandwidths)
     )
+
+
+def loop_kernel_matrix(spec, a, b) -> np.ndarray:
+    """Mixture kernel summed one component at a time, in component order.
+
+    Distances come from the library's ``squared_distances`` so the comparison
+    isolates how components are combined; the library must match bit for bit.
+    """
+    d2 = squared_distances(a, b)
+    out = np.zeros_like(d2)
+    for w, s2 in zip(spec.weights, spec.bandwidths):
+        out += w * np.exp(d2 / (-2.0 * s2))
+    return out
+
+
+def loop_kernel_matrix_grad(spec, a, b, upstream):
+    """Input gradients of ``sum(upstream * K)`` accumulated one component at a time."""
+    d2 = squared_distances(a, b)
+    grad_a = np.zeros_like(a)
+    grad_b = np.zeros_like(b)
+    for w, s2 in zip(spec.weights, spec.bandwidths):
+        s = upstream * ((w / s2) * np.exp(d2 / (-2.0 * s2)))
+        grad_a += s @ b - s.sum(axis=1)[:, None] * a
+        grad_b += s.T @ a - s.sum(axis=0)[:, None] * b
+    return grad_a, grad_b
 
 
 def naive_mmd(spec, source, target) -> float:

@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from contradapt import __version__
 from contradapt.cli import main
+from contradapt.data import load_csv
 
 
 def _gen_small(tmp_path, name="data", kind="blobs", seed=0, extra=()):
@@ -52,6 +54,21 @@ def test_gen_writes_deterministic_artifacts(tmp_path, capsys):
     assert manifest["generator"]["seed"] == 7
     c = _gen_small(tmp_path, "c", kind="moons", seed=8)
     assert (a / "source.csv").read_bytes() != (c / "source.csv").read_bytes()
+
+
+def test_gen_writes_unlabeled_target(tmp_path, capsys):
+    out = _gen_small(tmp_path, kind="blobs", seed=4)
+    assert "target_unlabeled.csv" in capsys.readouterr().out
+    target = load_csv(out / "target.csv")
+    unlabeled = load_csv(out / "target_unlabeled.csv")
+    assert np.array_equal(unlabeled.features, target.features)
+    assert (unlabeled.labels == -1).all() and not unlabeled.labeled
+    artifacts = json.loads((out / "gen_manifest.json").read_text())["artifacts"]
+    assert artifacts["target_unlabeled"] == str(out / "target_unlabeled.csv")
+    # the unlabeled file trains as an adaptation target
+    assert main(["train", "--source", str(out / "source.csv"),
+                 "--target", artifacts["target_unlabeled"], "--out", str(tmp_path / "run")]
+                + _FAST_TRAIN) == 0
 
 
 def test_gen_blobs_respects_flags(tmp_path):

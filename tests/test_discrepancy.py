@@ -7,6 +7,7 @@ from contradapt.discrepancy import (
     LabeledBatch,
     cdd,
     cdd_grad,
+    cdd_value_and_grad,
     class_mask,
     class_pair_discrepancy,
     mmd_squared,
@@ -275,3 +276,30 @@ def test_labeled_batch_shape_validation():
             np.zeros(2, dtype=int),
             (0,),
         )
+
+
+def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        n_classes = int(rng.integers(1, 5))
+        skip_missing = trial % 2 == 1
+        intra_only = trial % 3 == 0
+        ys = rng.integers(0, n_classes, size=rng.integers(2, 10))
+        yt = rng.integers(0, n_classes, size=rng.integers(2, 10))
+        if not skip_missing:  # strict mode needs every class on both sides
+            ys = np.concatenate([ys, np.arange(n_classes)])
+            yt = np.concatenate([yt, np.arange(n_classes)])
+        dims = [int(d) for d in rng.integers(1, 5, size=1 + trial % 2)]
+        batch = LabeledBatch([rng.normal(size=(ys.size, d)) for d in dims],
+                             [rng.normal(size=(yt.size, d)) for d in dims],
+                             ys, yt, tuple(range(n_classes)))
+        specs = [uniform_spec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 6))))
+                 for _ in dims]
+        kw = dict(intra_only=intra_only, skip_missing_pairs=skip_missing)
+        total, grads = cdd_value_and_grad(specs, batch, **kw)
+        assert total == cdd(specs, batch, **kw).total
+        assert len(grads) == len(dims)
+        for (gs, gt), (rs, rt) in zip(grads, cdd_grad(specs, batch, **kw)):
+            assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
+        value_only, none = cdd_value_and_grad(specs, batch, with_grad=False, **kw)
+        assert value_only == total and none is None

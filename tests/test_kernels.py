@@ -6,12 +6,13 @@ from contradapt.kernels import (
     KernelSpec,
     kernel_matrix,
     kernel_matrix_grad,
+    kernel_value_and_grad,
     median_heuristic,
     median_kernel_spec,
     uniform_spec,
 )
 
-from oracles import naive_kernel
+from oracles import loop_kernel_matrix, loop_kernel_matrix_grad, naive_kernel
 
 
 def test_spec_validation():
@@ -38,6 +39,16 @@ def test_median_heuristic_one_sided_pool():
 
 def test_median_heuristic_degenerate_falls_back():
     assert median_heuristic([[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]) == 1.0
+
+
+def test_median_heuristic_near_coincident_rows_fall_back():
+    # Rows 1e-7 apart: squared distances of ~5e-14 are at the rounding level
+    # of |x|^2 ~ 1 in squared_distances and must not become a bandwidth.
+    rng = np.random.default_rng(5)
+    row = rng.normal(size=(1, 3))
+    x = np.repeat(row, 6, axis=0) + 1e-7 * rng.normal(size=(6, 3))
+    assert median_heuristic(x[:3], x[3:]) == 1.0
+    assert median_heuristic(x[:1], x[1:2] + 1e-3) == pytest.approx(3e-6, rel=1e-3)
 
 
 def test_median_heuristic_needs_two_rows():
@@ -130,3 +141,22 @@ def test_kernel_grad_upstream_shape_checked():
     spec = uniform_spec((1.0,))
     with pytest.raises(ValueError, match="upstream"):
         kernel_matrix_grad(spec, np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 2)))
+
+
+def test_kernel_wrappers_match_component_loop_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for trial in range(60):
+        n_a, n_b, d = (int(v) for v in rng.integers(1, 7, size=3))
+        # Up to 7 components: beyond that NumPy may sum a one-element result pairwise.
+        spec = uniform_spec(np.exp(rng.uniform(-3.0, 2.0, size=rng.integers(1, 8))))
+        a = rng.normal(size=(n_a, d))
+        b = a.copy() if trial % 4 == 0 else rng.normal(size=(n_b, d))
+        up = rng.normal(size=(a.shape[0], b.shape[0]))
+        k = kernel_matrix(spec, a, b)
+        assert np.array_equal(k, loop_kernel_matrix(spec, a, b))
+        ref_a, ref_b = loop_kernel_matrix_grad(spec, a, b, up)
+        grad_a, grad_b = kernel_matrix_grad(spec, a, b, up)
+        assert np.array_equal(grad_a, ref_a) and np.array_equal(grad_b, ref_b)
+        both, grads = kernel_value_and_grad(spec, a, b, up)
+        assert np.array_equal(both, k)
+        assert np.array_equal(grads[0], ref_a) and np.array_equal(grads[1], ref_b)

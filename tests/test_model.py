@@ -201,7 +201,7 @@ def test_schedule_validation():
 def test_sgd_momentum_algebra():
     eta0, mu = 0.1, 0.9
     schedule = LrSchedule(eta0=eta0, a=10.0, b=0.75, momentum=mu,
-                          total_steps=2, bottleneck_lr_mult=1.0)
+                          total_steps=2)
     params = _scalar_params(1.0)
     velocity = init_velocity(params)
     g1, g2 = 0.5, -0.25
@@ -312,3 +312,78 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     missing.write_text(f"{CHECKPOINT_HEADER}\nbottleneck.weight 1 1\n0.5\n")
     with pytest.raises(ValueError, match="missing array"):
         load_checkpoint(missing)
+
+
+def _assert_on_flat(params):
+    assert params.flat.ndim == 1 and params.flat.dtype == np.float64
+    assert params.flat.flags.c_contiguous
+    assert params.flat.size == sum(a.size for a in params.arrays())
+    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in params.arrays()]))
+
+
+def test_every_container_is_views_of_one_flat_vector(tmp_path):
+    params = _tiny_params(hidden=(5, 4))
+    save_checkpoint(params, tmp_path / "ckpt.txt")
+    made = {
+        "init": params,
+        "zeros": zeros_like_params(params),
+        "velocity": init_velocity(params),
+        "copy": params.copy(),
+        "load_checkpoint": load_checkpoint(tmp_path / "ckpt.txt"),
+        "vector_to_params": vector_to_params(params_to_vector(params), params),
+        "backward": backward(params, forward(params, np.ones((2, 3))),
+                             logits_grad=np.ones((2, 3))),
+        "constructor": _scalar_params(2.0),
+    }
+    for name, p in made.items():
+        _assert_on_flat(p)
+        if p is not params:
+            assert not np.shares_memory(p.flat, params.flat), name
+    params.logits_bias[0] = 7.0  # writes through a view land in flat
+    assert params.flat[-3] == 7.0
+
+
+def _reference_sgd_step(params, grads, velocity, schedule, step):
+    """The update written per array: v <- mu v + g; theta <- theta - eta*mult*v."""
+    eta = schedule.eta_at(step / schedule.total_steps)
+    mults = [1.0] * (len(params.arrays()) - 2) + [schedule.logits_lr_mult] * 2
+    for theta, g, v, mult in zip(params.arrays(), grads.arrays(), velocity.arrays(), mults):
+        v *= schedule.momentum
+        v += g
+        theta -= (eta * mult) * v
+
+
+def test_sgd_step_matches_per_array_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    params = _tiny_params(rng, hidden=(6, 5))
+    ref = params.copy()
+    velocity, ref_velocity = init_velocity(params), init_velocity(params)
+    schedule = LrSchedule(eta0=0.05, momentum=0.9, total_steps=7, logits_lr_mult=10.0)
+    for step in range(7):
+        grads = vector_to_params(rng.normal(size=params.flat.size), params)
+        sgd_step(params, grads, velocity, schedule, step)
+        _reference_sgd_step(ref, grads, ref_velocity, schedule, step)
+        assert np.array_equal(params.flat, ref.flat)
+        assert np.array_equal(velocity.flat, ref_velocity.flat)
+
+
+def test_checkpoint_text_is_unchanged(tmp_path):
+    params = ModelParams(
+        hidden_weights=[np.array([[0.1, 1 / 3]])],
+        hidden_biases=[np.array([-1e-17, 2.0])],
+        bottleneck_weight=np.array([[1.0], [2.5]]),
+        bottleneck_bias=np.array([0.0]),
+        logits_weight=np.array([[0.7, -0.7]]),
+        logits_bias=np.array([1e300, -0.0]),
+    )
+    save_checkpoint(params, tmp_path / "ckpt.txt")
+    assert (tmp_path / "ckpt.txt").read_text() == (
+        "contradapt-checkpoint v1\n"
+        "hidden.0.weight 1 2\n0.10000000000000001 0.33333333333333331\n"
+        "hidden.0.bias 1 2\n-1.0000000000000001e-17 2\n"
+        "bottleneck.weight 2 1\n1\n2.5\n"
+        "bottleneck.bias 1 1\n0\n"
+        "logits.weight 1 2\n0.69999999999999996 -0.69999999999999996\n"
+        "logits.bias 1 2\n1.0000000000000001e+300 -0\n"
+    )

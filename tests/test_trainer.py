@@ -3,8 +3,21 @@ import logging
 import numpy as np
 import pytest
 
-from contradapt.data import BlobShift, Dataset, gen_blobs
-from contradapt.model import ModelParams, params_to_vector
+from contradapt.data import BlobShift, Dataset, gen_blobs, gen_moons
+from contradapt.discrepancy import LabeledBatch, cdd, cdd_grad
+from contradapt.gradcheck import composite_loss_and_grads
+from contradapt.kernels import uniform_spec
+from contradapt.model import (
+    ModelParams,
+    add_params_,
+    backward,
+    cross_entropy,
+    cross_entropy_grad,
+    forward,
+    init_params,
+    params_to_vector,
+    zeros_like_params,
+)
 from contradapt.trainer import (
     METHODS,
     LoopMetrics,
@@ -12,6 +25,8 @@ from contradapt.trainer import (
     evaluate,
     train,
 )
+
+from test_acceptance import MOONS_A3_CFG, MOONS_KW, MOONS_SEED
 
 
 def _blobs(seed=0, n_classes=3, per_class=20, dim=2, **shift_kwargs):
@@ -52,6 +67,32 @@ def test_config_validation():
         TrainConfig(d0=1.5)
     with pytest.raises(ValueError, match="probe_per_class"):
         TrainConfig(probe_per_class=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bandwidth_multipliers", ()),
+    ("bandwidth_multipliers", (1.0, 0.0)),
+    ("bandwidth_multipliers", (1.0, float("inf"))),
+    ("bandwidth_multipliers", (float("nan"),)),
+    ("kmeans_max_iters", 0),
+    ("kmeans_tol", -1e-9),
+    ("classes_per_batch", 0),
+    ("per_class_source", 0),
+    ("per_class_target", 0),
+    ("ce_batch_size", 0),
+    ("bottleneck_dim", 0),
+    ("hidden_sizes", (8, 0)),
+    ("eta0", 0.0),
+    ("eta0", float("nan")),
+    ("lr_a", -1.0),
+    ("lr_b", 0.0),
+    ("logits_lr_mult", 0.0),
+    ("momentum", 1.0),
+    ("momentum", -0.1),
+])
+def test_config_rejects_bad_field_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_config_round_trip_and_unknown_keys():
@@ -241,3 +282,37 @@ def test_dataset_checks():
     with pytest.raises(ValueError, match="outside the source class range"):
         high = Dataset(tgt.features, np.full(tgt.n, 7), "target")
         train(_config(), src, high)
+
+
+def test_gradcheck_composite_matches_step_composition_bit_for_bit():
+    rng = np.random.default_rng(3)
+    params = init_params(rng, 3, (4,), 3, 2)
+    specs = [uniform_spec((0.5, 2.0)), uniform_spec((1.0,))]
+    beta = 0.4
+    ce_x, ce_y = rng.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1])
+    ys, yt = np.array([0, 0, 1, 1]), np.array([0, 1, 1])
+    xs, xt = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+    loss, grads = composite_loss_and_grads(params, specs, beta, ce_x, ce_y, xs, ys, xt, yt, (0, 1))
+    # The same step spelled out with the separate value and gradient calls.
+    stack_ce, stack_s, stack_t = forward(params, ce_x), forward(params, xs), forward(params, xt)
+    batch = LabeledBatch([stack_s.bottleneck, stack_s.logits],
+                         [stack_t.bottleneck, stack_t.logits], ys, yt, (0, 1))
+    expected = zeros_like_params(params)
+    add_params_(expected, backward(params, stack_ce,
+                                   logits_grad=cross_entropy_grad(stack_ce.probs, ce_y)))
+    layer_grads = cdd_grad(specs, batch)
+    for side, stack in enumerate((stack_s, stack_t)):
+        taps = {"bottleneck": layer_grads[0][side], "logits": layer_grads[1][side]}
+        add_params_(expected, backward(params, stack, tap_grads=taps, beta=beta))
+    assert loss == cross_entropy(stack_ce.probs, ce_y) + beta * cdd(specs, batch).total
+    assert np.array_equal(grads.flat, expected.flat)
+
+
+def test_intra_only_survives_collapsing_features():
+    # Training seed 3000 collapses the features until the median heuristic
+    # returned rounding residue as a bandwidth and the gradient overflowed.
+    src, tgt = gen_moons(seed=MOONS_SEED, **MOONS_KW)
+    config = TrainConfig(method="intra-only", seed=3000, **MOONS_A3_CFG)
+    result = train(config, src, tgt)
+    assert result.summary["steps_run"] == config.total_steps
+    assert np.isfinite(params_to_vector(result.params)).all()
