@@ -81,9 +81,6 @@ class FeatureStack:
     logits: np.ndarray
     probs: np.ndarray
 
-    def tapped(self) -> dict[str, np.ndarray]:
-        return {"bottleneck": self.bottleneck, "logits": self.logits}
-
 
 @dataclass(frozen=True)
 class LrSchedule:

@@ -9,15 +9,19 @@ parameter updates.  Per step the composite gradient is
     grad = grad(source CE) + beta * grad(contrastive discrepancy)
 
 with the discrepancy gradients injected at the bottleneck and logits taps.
-Ablation variants swap out individual ingredients; see ``METHODS``.
+The seven methods are ablations of this one pipeline.  Each is one
+``_Method`` record in ``_TABLE`` (label source, CDD on/off, ``intra_only``,
+class-agnostic sampling, target cross-entropy), and the record is the only
+place that knows what a method does.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,23 +43,47 @@ from .model import (
     sgd_step,
     zeros_like_params,
 )
-from .sampling import BatchPlan, class_aware_batch, draw, uniform_source_batch
+from .sampling import BatchPlan, CasBatch, class_aware_batch, draw, uniform_source_batch
 
 log = logging.getLogger(__name__)
 
-METHODS = (
-    "source-only",  # classification on source batches only
-    "can",          # full method: clustering, filtering, class-aware discrepancy
-    "intra-only",   # discrepancy keeps the same-class term, drops the cross-class term
-    "no-ao",        # pseudo-labels from instantaneous predictions instead of clustering
-    "no-cas",       # class-agnostic discrepancy batches; missing pairs renormalized away
-    "pseudo0",      # cluster once at loop 0, then fixed pseudo-label target CE + source CE
-    "pseudo1",      # re-cluster each loop, pseudo-label target CE + source CE, no discrepancy
-)
 
-_CDD_METHODS = ("can", "intra-only", "no-ao", "no-cas")
+@dataclass(frozen=True)
+class _Method:
+    """The ingredients a training method switches on.  ``labels`` is where target
+    pseudo-labels come from: "cluster" (k-means and the filter, every loop),
+    "cluster-once" (loop 0 only), "argmax" (network predictions, every step) or None."""
+
+    labels: str | None
+    cdd: bool = False
+    intra_only: bool = False      # drop the cross-class discrepancy term
+    class_agnostic: bool = False  # uniform discrepancy batches; missing pairs renormalized away
+    target_ce: bool = False       # cross-entropy on pseudo-labeled target batches
+
+
+_TABLE = {
+    "source-only": _Method(None),                           # classification on source only
+    "can": _Method("cluster", cdd=True),                    # full method
+    "intra-only": _Method("cluster", cdd=True, intra_only=True),
+    "no-ao": _Method("argmax", cdd=True),                   # no alternating optimization
+    "no-cas": _Method("cluster", cdd=True, class_agnostic=True),
+    "pseudo0": _Method("cluster-once", target_ce=True),     # frozen loop-0 pseudo-labels
+    "pseudo1": _Method("cluster", target_ce=True),          # re-clustered pseudo-labels, no CDD
+}
+METHODS = tuple(_TABLE)
+
 _AT_LEAST_ONE = ("probe_per_class", "classes_per_batch", "per_class_source", "per_class_target",
                  "ce_batch_size", "bottleneck_dim", "kmeans_max_iters")
+_NUMBER = {"int": numbers.Integral, "float": numbers.Real}
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether ``value`` fits a ``TrainConfig`` field annotation; bools are not numbers."""
+    if annotation.startswith("tuple["):
+        item = annotation.removeprefix("tuple[").removesuffix(", ...]")
+        return isinstance(value, (list, tuple)) and all(_fits(item, v) for v in value)
+    kind = _NUMBER.get(annotation)
+    return kind is None or (isinstance(value, kind) and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)
@@ -88,6 +116,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for f in dataclasses.fields(self):  # f.type is a string: annotations are postponed
+            value = getattr(self, f.name)
+            if not _fits(f.type, value):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.loops < 0 or self.steps_per_loop < 1:
             raise ValueError("need loops >= 0 and steps_per_loop >= 1")
         if self.beta < 0:
@@ -142,15 +176,15 @@ class TrainConfig:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         kwargs = dict(obj)
         for key in ("hidden_sizes", "bandwidth_multipliers"):
-            if key in kwargs:
+            if isinstance(kwargs.get(key), list):
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
 
 
 @dataclass
 class LoopMetrics:
-    """Per-loop record.  ``record()`` is the serialized form; it omits the
-    wall time so repeated runs emit byte-identical streams."""
+    """Per-loop record; ``record()`` is the serialized form.  It holds no
+    wall time, so repeated runs emit byte-identical streams."""
 
     loop: int
     ce_loss: float
@@ -161,7 +195,6 @@ class LoopMetrics:
     n_kept: int
     n_kept_classes: int
     learning_rate: float
-    wall_time_s: float = 0.0
 
     def record(self) -> dict:
         return {
@@ -192,17 +225,6 @@ class _PseudoLabels:
 
 
 @dataclass
-class _ProbeBatch:
-    """Fixed ground-truth-labeled batch used only for the diagnostic discrepancy."""
-
-    source_indices: np.ndarray
-    source_labels: np.ndarray
-    target_indices: np.ndarray
-    target_labels: np.ndarray
-    classes: tuple[int, ...]
-
-
-@dataclass
 class TrainState:
     """Everything run_loop needs; mutated in place as training advances."""
 
@@ -212,10 +234,10 @@ class TrainState:
     source: Dataset
     target: Dataset
     n_classes: int
-    probe: _ProbeBatch | None
+    probe: CasBatch | None  # fixed, ground-truth labeled; feeds only ``cdd_g``
     step: int = 0
     loop: int = 0
-    pseudo0_cache: _PseudoLabels | None = None
+    pseudo: _PseudoLabels | None = None  # the latest clustering, if the method clusters
 
 
 @dataclass
@@ -248,7 +270,7 @@ def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 
 def _build_probe(rng: np.random.Generator, source: Dataset, target: Dataset,
-                 n_classes: int, per_class: int) -> _ProbeBatch | None:
+                 n_classes: int, per_class: int) -> CasBatch | None:
     if not target.labeled:
         return None
     src_parts, tgt_parts = [], []
@@ -260,13 +282,8 @@ def _build_probe(rng: np.random.Generator, source: Dataset, target: Dataset,
         src_parts.append(draw(rng, src_pool, per_class))
         tgt_parts.append(draw(rng, tgt_pool, per_class))
     labels = np.repeat(np.arange(n_classes), per_class)
-    return _ProbeBatch(
-        source_indices=np.concatenate(src_parts),
-        source_labels=labels,
-        target_indices=np.concatenate(tgt_parts),
-        target_labels=labels.copy(),
-        classes=tuple(range(n_classes)),
-    )
+    return CasBatch(tuple(range(n_classes)), np.concatenate(src_parts),
+                    np.concatenate(tgt_parts), labels, labels.copy())
 
 
 def tapped_batch(stack_s, stack_t, source_labels, target_labels, class_set) -> LabeledBatch:
@@ -303,6 +320,14 @@ def add_ce_grads(grads: ModelParams, params: ModelParams, inputs, labels) -> flo
     return cross_entropy(stack.probs, labels)
 
 
+def _forward_pair(state: TrainState, batch: CasBatch):
+    """Forward passes of a batch's source and target rows, and their taps."""
+    stack_s = forward(state.params, state.source.features[batch.source_indices])
+    stack_t = forward(state.params, state.target.features[batch.target_indices])
+    return stack_s, stack_t, tapped_batch(stack_s, stack_t, batch.source_labels,
+                                          batch.target_labels, batch.classes)
+
+
 def _layer_specs(config: TrainConfig, batch: LabeledBatch):
     return [
         median_kernel_spec(s, t, multipliers=config.bandwidth_multipliers)
@@ -316,13 +341,9 @@ def _cdd_g(state: TrainState, config: TrainConfig) -> float | None:
     Read-only with respect to training: nothing computed here feeds back
     into parameters or random streams.
     """
-    probe = state.probe
-    if probe is None:
+    if state.probe is None:
         return None
-    stack_s = forward(state.params, state.source.features[probe.source_indices])
-    stack_t = forward(state.params, state.target.features[probe.target_indices])
-    batch = tapped_batch(stack_s, stack_t, probe.source_labels, probe.target_labels,
-                         probe.classes)
+    _, _, batch = _forward_pair(state, state.probe)
     specs = _layer_specs(config, batch)
     return float(cdd_value_and_grad(specs, batch, with_grad=False)[0])
 
@@ -335,100 +356,71 @@ def _cluster_target(state: TrainState, config: TrainConfig) -> _PseudoLabels:
         phi_target, centers, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol
     )
     fres = filter_targets(cstate, d0=config.d0, n0=config.n0)
-    return _PseudoLabels(
-        assignments=cstate.assignments,
-        kept_indices=fres.kept_indices,
-        kept_classes=fres.kept_classes,
-    )
+    return _PseudoLabels(cstate.assignments, fres.kept_indices, fres.kept_classes)
 
 
-def _discrepancy_grads(state: TrainState, config: TrainConfig, specs_box: list,
-                       pseudo: _PseudoLabels | None, grads: ModelParams) -> float | None:
-    """One step's discrepancy contribution; returns the batch value (or None).
-
-    ``specs_box`` is a single-element list caching the kernel specs frozen at
-    the first batch of the current loop.
-    """
-    method = config.method
-    src, tgt = state.source, state.target
-    skip_missing = method == "no-cas"
-    if method in ("can", "intra-only"):
-        if pseudo is None or not pseudo.kept_classes:
-            return None
-        pool, pool_labels = pseudo.kept_indices, pseudo.assignments[pseudo.kept_indices]
-        eligible = pseudo.kept_classes
-    elif method == "no-ao":
+def _cdd_batch(state: TrainState, method: _Method) -> CasBatch | None:
+    """Draw one step's discrepancy batch, or None when no class is usable."""
+    src, tgt, pseudo, plan = state.source, state.target, state.pseudo, state.plan
+    if method.labels == "argmax":
         pool, pool_labels = np.arange(tgt.n), predict(state.params, tgt.features)
-        eligible = np.unique(pool_labels)
-    elif skip_missing:
-        if pseudo is None or pseudo.kept_indices.size == 0:
-            return None
-        n_src = config.classes_per_batch * config.per_class_source
-        n_tgt = config.classes_per_batch * config.per_class_target
-        src_idx = draw(state.plan.cas_rng, np.arange(src.n), n_src)
-        tgt_idx = draw(state.plan.cas_rng, pseudo.kept_indices, n_tgt)
-        src_labels = src.labels[src_idx]
-        tgt_labels = pseudo.assignments[tgt_idx]
-        class_set = tuple(sorted(set(src_labels.tolist()) | set(tgt_labels.tolist())))
-    else:
+        return class_aware_batch(plan, src.labels, pool, pool_labels, np.unique(pool_labels))
+    if not pseudo.kept_classes:
         return None
-    if not skip_missing:
-        cas = class_aware_batch(state.plan, src.labels, pool, pool_labels, eligible)
-        src_idx, tgt_idx = cas.source_indices, cas.target_indices
-        src_labels, tgt_labels, class_set = cas.source_labels, cas.target_labels, cas.classes
-    stack_s = forward(state.params, src.features[src_idx])
-    stack_t = forward(state.params, tgt.features[tgt_idx])
-    batch = tapped_batch(stack_s, stack_t, src_labels, tgt_labels, class_set)
-    if not specs_box:
-        specs_box.append(_layer_specs(config, batch))
-    return float(add_cdd_grads(grads, state.params, specs_box[0], stack_s, stack_t, batch,
-                               config.beta, method == "intra-only", skip_missing))
+    if not method.class_agnostic:
+        pool = pseudo.kept_indices
+        return class_aware_batch(plan, src.labels, pool, pseudo.assignments[pool],
+                                 pseudo.kept_classes)
+    src_idx = draw(plan.cas_rng, np.arange(src.n), plan.classes_per_batch * plan.per_class_source)
+    tgt_idx = draw(plan.cas_rng, pseudo.kept_indices,
+                   plan.classes_per_batch * plan.per_class_target)
+    src_labels, tgt_labels = src.labels[src_idx], pseudo.assignments[tgt_idx]
+    classes = tuple(sorted(set(src_labels.tolist()) | set(tgt_labels.tolist())))
+    return CasBatch(classes, src_idx, tgt_idx, src_labels, tgt_labels)
 
 
 def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
     """One outer loop: refresh pseudo-labels, then K composite updates."""
-    t0 = time.perf_counter()
-    method = config.method
+    method = _TABLE[config.method]
     schedule = config.schedule()
     src, tgt = state.source, state.target
 
-    pseudo: _PseudoLabels | None = None
-    if method in ("can", "intra-only", "no-cas", "pseudo1"):
-        pseudo = _cluster_target(state, config)
-    elif method == "pseudo0":
-        if state.pseudo0_cache is None:
-            state.pseudo0_cache = _cluster_target(state, config)
-        pseudo = state.pseudo0_cache
+    if method.labels == "cluster" or (method.labels == "cluster-once" and state.pseudo is None):
+        state.pseudo = _cluster_target(state, config)
+    pseudo = state.pseudo
 
     clustering_accuracy: float | None = None
-    n_kept = 0
-    n_kept_classes = 0
+    n_kept = n_kept_classes = 0
     if pseudo is not None:
         n_kept = int(pseudo.kept_indices.size)
         n_kept_classes = len(pseudo.kept_classes)
         if tgt.labeled:
             clustering_accuracy = float(np.mean(pseudo.assignments == tgt.labels))
-        if n_kept_classes == 0 and method in _CDD_METHODS:
+        if n_kept_classes == 0 and method.cdd:
             log.warning(
                 "loop %d: no classes pass the filter; running classification-only steps",
                 state.loop,
             )
-    elif method == "no-ao" and tgt.labeled:
+    elif method.labels == "argmax" and tgt.labeled:
         clustering_accuracy = float(np.mean(predict(state.params, tgt.features) == tgt.labels))
 
     cdd_g = _cdd_g(state, config)
     lr_start = schedule.eta_at(state.step / schedule.total_steps)
 
-    specs_box: list = []  # kernel specs frozen at this loop's first batch
+    specs = None  # kernel specs, frozen at this loop's first discrepancy batch
     ce_values: list[float] = []
     cdd_values: list[float] = []
     for _ in range(config.steps_per_loop):
         grads = zeros_like_params(state.params)
-        if method in _CDD_METHODS:
-            value = _discrepancy_grads(state, config, specs_box, pseudo, grads)
-            if value is not None:
-                cdd_values.append(value)
-        elif method in ("pseudo0", "pseudo1") and pseudo is not None and n_kept > 0:
+        batch = _cdd_batch(state, method) if method.cdd else None
+        if batch is not None:
+            stack_s, stack_t, taps = _forward_pair(state, batch)
+            if specs is None:
+                specs = _layer_specs(config, taps)
+            cdd_values.append(float(add_cdd_grads(
+                grads, state.params, specs, stack_s, stack_t, taps, config.beta,
+                method.intra_only, method.class_agnostic)))
+        elif method.target_ce and n_kept > 0:
             t_idx = draw(state.plan.cas_rng, pseudo.kept_indices, config.ce_batch_size)
             add_ce_grads(grads, state.params, tgt.features[t_idx], pseudo.assignments[t_idx])
         ce_idx = uniform_source_batch(state.plan, src.n)
@@ -449,7 +441,6 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
         n_kept=n_kept,
         n_kept_classes=n_kept_classes,
         learning_rate=lr_start,
-        wall_time_s=time.perf_counter() - t0,
     )
     state.loop += 1
     return metrics
@@ -509,9 +500,6 @@ def train(
         per_class_target=config.per_class_target,
         ce_batch_size=config.ce_batch_size,
     )
-    probe = _build_probe(
-        np.random.default_rng(seq_probe), source, target, n_classes, config.probe_per_class
-    )
     state = TrainState(
         params=params,
         velocity=init_velocity(params),
@@ -519,7 +507,8 @@ def train(
         source=source,
         target=target,
         n_classes=n_classes,
-        probe=probe,
+        probe=_build_probe(np.random.default_rng(seq_probe), source, target, n_classes,
+                           config.probe_per_class),
     )
     t0 = time.perf_counter()
     metrics: list[LoopMetrics] = []

@@ -6,6 +6,7 @@ import pytest
 from contradapt import __version__
 from contradapt.cli import main
 from contradapt.data import load_csv
+from contradapt.trainer import METHODS
 
 
 def _gen_small(tmp_path, name="data", kind="blobs", seed=0, extra=()):
@@ -146,10 +147,29 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
-def test_manifest_rerun_is_byte_identical(tmp_path):
+@pytest.mark.parametrize("config, field", [
+    ({"hidden_sizes": 64}, "hidden_sizes"),
+    ({"loops": "3"}, "loops"),
+    ({"beta": None}, "beta"),
+    ({"seed": 1.5}, "seed"),
+])
+def test_train_rejects_wrong_typed_config_values(tmp_path, capsys, config, field):
+    data = _gen_small(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main(["train", "--out", str(tmp_path / "r"), "--config", str(cfg_path),
+                 "--source", str(data / "source.csv"),
+                 "--target", str(data / "target.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_manifest_rerun_is_byte_identical(tmp_path, method):
     data = _gen_small(tmp_path)
     first = tmp_path / "first"
-    assert _run_train(data, first, ["--method", "can", "--seed", "5"]) == 0
+    assert _run_train(data, first, ["--method", method, "--seed", "5"]) == 0
     second = tmp_path / "second"
     assert main(["train", "--config", str(first / "manifest.json"),
                  "--out", str(second)]) == 0

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from contradapt.clustering import spherical_kmeans
 from contradapt.data import BlobShift, Dataset, gen_blobs, gen_moons
 from contradapt.discrepancy import LabeledBatch, cdd, cdd_grad
 from contradapt.gradcheck import composite_loss_and_grads
@@ -89,10 +90,25 @@ def test_config_validation():
     ("logits_lr_mult", 0.0),
     ("momentum", 1.0),
     ("momentum", -0.1),
+    # wrong types, as a JSON config file can hold them
+    ("hidden_sizes", 64),
+    ("hidden_sizes", "8,8"),
+    ("hidden_sizes", [8, 2.5]),
+    ("bandwidth_multipliers", [1.0, "2"]),
+    ("loops", "3"),
+    ("loops", 3.0),
+    ("n0", True),
+    ("beta", None),
+    ("beta", False),
+    ("d0", "0.05"),
+    ("seed", 1.5),
+    ("seed", -1),
 ])
 def test_config_rejects_bad_field_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        TrainConfig.from_dict({field: value})
 
 
 def test_config_round_trip_and_unknown_keys():
@@ -113,7 +129,6 @@ def test_loop_metrics_record_has_no_wall_time():
     m = LoopMetrics(
         loop=0, ce_loss=1.0, cdd_estimate=None, cdd_g=None, target_accuracy=None,
         clustering_accuracy=None, n_kept=0, n_kept_classes=0, learning_rate=1e-3,
-        wall_time_s=123.0,
     )
     rec = m.record()
     assert "wall_time_s" not in rec
@@ -158,13 +173,15 @@ def test_train_single_step_run():
     assert result.metrics[0].learning_rate == pytest.approx(config.eta0, abs=1e-18)
 
 
-def test_beta_zero_equals_source_only_exactly():
+@pytest.mark.parametrize("method", ["can", "intra-only", "no-ao", "no-cas"])
+def test_beta_zero_equals_source_only_exactly(method):
     src, tgt = _blobs(seed=1)
-    can0 = train(_config(method="can", beta=0.0, loops=3), src, tgt)
+    cdd0 = train(_config(method=method, beta=0.0, loops=3), src, tgt)
     plain = train(_config(method="source-only", beta=0.0, loops=3), src, tgt)
-    assert np.array_equal(params_to_vector(can0.params), params_to_vector(plain.params))
+    assert cdd0.metrics[-1].cdd_estimate is not None  # the discrepancy path did run
+    assert np.array_equal(params_to_vector(cdd0.params), params_to_vector(plain.params))
     # the diagnostic stream matches too
-    assert [m.cdd_g for m in can0.metrics] == [m.cdd_g for m in plain.metrics]
+    assert [m.cdd_g for m in cdd0.metrics] == [m.cdd_g for m in plain.metrics]
 
 
 def test_target_labels_only_feed_diagnostics():
@@ -219,10 +236,23 @@ def test_empty_filter_falls_back_to_classification(caplog):
     assert result.summary["steps_run"] == config.steps_per_loop  # CE steps still ran
 
 
+# k-means runs per 2-loop run: every loop, once, or never, by label source
+KMEANS_CALLS = {"source-only": 0, "can": 2, "intra-only": 2, "no-ao": 0, "no-cas": 2,
+                "pseudo0": 1, "pseudo1": 2}
+
+
 @pytest.mark.parametrize("method", METHODS)
-def test_every_method_runs(method):
+def test_every_method_runs(method, monkeypatch):
+    calls = []
+
+    def counting_kmeans(*args, **kwargs):
+        calls.append(1)
+        return spherical_kmeans(*args, **kwargs)
+
+    monkeypatch.setattr("contradapt.trainer.spherical_kmeans", counting_kmeans)
     src, tgt = _blobs(seed=7)
     result = train(_config(method=method), src, tgt)
+    assert len(calls) == KMEANS_CALLS[method]
     assert result.summary["method"] == method
     assert result.summary["steps_run"] == 10
     assert np.isfinite(result.summary["final_target_accuracy"])
