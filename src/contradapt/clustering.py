@@ -58,6 +58,14 @@ def cosine_dissimilarity(a, b) -> float:
     return float(np.clip(0.5 * (1.0 - ua @ ub.T), 0.0, 1.0)[0, 0])
 
 
+def _group_sums(x: np.ndarray, groups: np.ndarray, m: int) -> np.ndarray:
+    """(m, d) sums of the rows of ``x`` per group id, as ``np.add.at`` gives them:
+    each group's rows are added in index order, starting from +0.0."""
+    d = x.shape[1]
+    cells = (groups[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(cells, weights=x.ravel(), minlength=m * d).reshape(m, d)
+
+
 def _pairwise_dissimilarity(unit_x: np.ndarray, unit_c: np.ndarray) -> np.ndarray:
     return np.clip(0.5 * (1.0 - unit_x @ unit_c.T), 0.0, 1.0)
 
@@ -78,10 +86,7 @@ def source_class_centers(features, labels, n_classes: int) -> np.ndarray:
     if (counts == 0).any():
         missing = [c for c in range(n_classes) if counts[c] == 0]
         raise ValueError(f"uncovered class ids {missing}")
-    unit = _unit_rows(x)
-    centers = np.zeros((n_classes, x.shape[1]))
-    np.add.at(centers, y, unit)
-    return _unit_rows(centers)
+    return _unit_rows(_group_sums(_unit_rows(x), y, n_classes))
 
 
 def spherical_kmeans(
@@ -130,10 +135,8 @@ def spherical_kmeans(
             iterations, converged = it, False
             break
         prev = assignments
-        sums = np.zeros_like(centers)
-        np.add.at(sums, assignments, unit_x)
         occupied = np.bincount(assignments, minlength=m) > 0
-        new_centers = _unit_rows(sums)
+        new_centers = _unit_rows(_group_sums(unit_x, assignments, m))
         new_centers[~occupied] = centers[~occupied]
         movement = float(
             np.max(np.clip(0.5 * (1.0 - np.sum(centers * new_centers, axis=1)), 0.0, 1.0))

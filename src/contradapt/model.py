@@ -16,6 +16,7 @@ import numpy as np
 TAPPED_LAYERS = ("bottleneck", "logits")
 _LOG_EPS = 1e-12
 CHECKPOINT_HEADER = "contradapt-checkpoint v1"
+EMBED_BLOCK_ROWS = 2048
 
 
 class ModelParams:
@@ -154,24 +155,64 @@ def add_params_(dst: ModelParams, src: ModelParams) -> ModelParams:
     return dst
 
 
-def forward(params: ModelParams, inputs) -> FeatureStack:
-    """Run the network, caching every activation needed for backward."""
+def _check_inputs(params: ModelParams, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2:
         raise ValueError("inputs must be a 2-d array (n, d)")
     if x.shape[1] != params.in_dim:
         raise ValueError(f"input width {x.shape[1]} != model width {params.in_dim}")
-    hidden: list[np.ndarray] = []
+    return x
+
+
+def _trunk(params: ModelParams, x: np.ndarray, hidden: list | None = None,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Bottleneck features of ``x``, written into ``out`` when given.
+
+    Bias-add and ReLU run in place on each layer's fresh product, never on
+    ``x``; hidden activations are appended to ``hidden`` when it is a list.
+    """
     h = x
     for w, b in zip(params.hidden_weights, params.hidden_biases):
-        h = np.maximum(h @ w + b, 0.0)
-        hidden.append(h)
-    bottleneck = h @ params.bottleneck_weight + params.bottleneck_bias
-    logits = bottleneck @ params.logits_weight + params.logits_bias
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+        h = h @ w
+        h += b
+        np.maximum(h, 0.0, out=h)
+        if hidden is not None:
+            hidden.append(h)
+    h = np.matmul(h, params.bottleneck_weight, out=out)
+    h += params.bottleneck_bias
+    return h
+
+
+def forward(params: ModelParams, inputs) -> FeatureStack:
+    """Run the network, caching every activation needed for backward."""
+    x = _check_inputs(params, inputs)
+    hidden: list[np.ndarray] = []
+    bottleneck = _trunk(params, x, hidden)
+    logits = bottleneck @ params.logits_weight
+    logits += params.logits_bias
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
     return FeatureStack(inputs=x, hidden=hidden, bottleneck=bottleneck, logits=logits, probs=probs)
+
+
+def embed(params: ModelParams, inputs) -> np.ndarray:
+    """Bottleneck features of ``inputs``, with no activations cached.
+
+    Rows run in near-equal blocks of at most ``EMBED_BLOCK_ROWS``, so each
+    layer's temporaries stay small.  Row ``i`` equals
+    ``forward(params, inputs).bottleneck[i]`` while BLAS computes a row the
+    same way whatever the row count; no block is a single row, because NumPy
+    sends one-row products to gemv, which rounds differently from gemm.
+    """
+    x = _check_inputs(params, inputs)
+    n = x.shape[0]
+    out = np.empty((n, params.bottleneck_weight.shape[1]))
+    n_blocks = max(-(-n // EMBED_BLOCK_ROWS), 1)
+    edges = [n * i // n_blocks for i in range(n_blocks + 1)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        _trunk(params, x[lo:hi], out=out[lo:hi])
+    return out
 
 
 def _check_labels(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -208,13 +249,15 @@ def backward(
     logits_grad: np.ndarray | None = None,
     tap_grads: dict[str, np.ndarray] | None = None,
     beta: float = 1.0,
+    out: ModelParams | None = None,
 ) -> ModelParams:
     """Reverse-mode gradients for one cached forward pass.
 
     ``logits_grad`` is the classification-loss gradient at the logits;
     ``tap_grads`` maps tapped layer names to externally computed feature
     gradients which enter scaled by ``beta``.  Either may be omitted.
-    Returns a ModelParams-shaped container of parameter gradients.
+    The parameter gradients are added into ``out`` (a fresh zero container
+    when omitted), which is returned.
     """
     taps = tap_grads or {}
     unknown = set(taps) - set(TAPPED_LAYERS)
@@ -231,9 +274,9 @@ def backward(
         if tg.shape != stack.logits.shape:
             raise ValueError("logits tap gradient shape mismatch")
         d_logits += beta * tg
-    grads = zeros_like_params(params)
-    grads.logits_weight[:] = stack.bottleneck.T @ d_logits
-    grads.logits_bias[:] = d_logits.sum(axis=0)
+    grads = zeros_like_params(params) if out is None else out
+    grads.logits_weight += stack.bottleneck.T @ d_logits
+    grads.logits_bias += d_logits.sum(axis=0)
     d_bottleneck = d_logits @ params.logits_weight.T
     if "bottleneck" in taps:
         tg = np.asarray(taps["bottleneck"], dtype=float)
@@ -241,14 +284,14 @@ def backward(
             raise ValueError("bottleneck tap gradient shape mismatch")
         d_bottleneck = d_bottleneck + beta * tg
     last_hidden = stack.hidden[-1] if stack.hidden else stack.inputs
-    grads.bottleneck_weight[:] = last_hidden.T @ d_bottleneck
-    grads.bottleneck_bias[:] = d_bottleneck.sum(axis=0)
+    grads.bottleneck_weight += last_hidden.T @ d_bottleneck
+    grads.bottleneck_bias += d_bottleneck.sum(axis=0)
     d_h = d_bottleneck @ params.bottleneck_weight.T
     for i in range(len(params.hidden_weights) - 1, -1, -1):
         d_pre = d_h * (stack.hidden[i] > 0.0)
         below = stack.hidden[i - 1] if i > 0 else stack.inputs
-        grads.hidden_weights[i][:] = below.T @ d_pre
-        grads.hidden_biases[i][:] = d_pre.sum(axis=0)
+        grads.hidden_weights[i] += below.T @ d_pre
+        grads.hidden_biases[i] += d_pre.sum(axis=0)
         d_h = d_pre @ params.hidden_weights[i].T
     return grads
 
@@ -270,12 +313,11 @@ def sgd_step(
     if not np.isfinite(grads.flat).all():
         raise ValueError(f"divergence: non-finite gradient at step {step}")
     eta = schedule.eta_at(step / schedule.total_steps)
-    mult = np.ones_like(params.flat)
-    n_logits = params.logits_weight.size + params.logits_bias.size
-    mult[params.flat.size - n_logits :] = schedule.logits_lr_mult
     velocity.flat *= schedule.momentum
     velocity.flat += grads.flat
-    params.flat -= (eta * mult) * velocity.flat
+    split = params.flat.size - params.logits_weight.size - params.logits_bias.size
+    params.flat[:split] -= eta * velocity.flat[:split]
+    params.flat[split:] -= (eta * schedule.logits_lr_mult) * velocity.flat[split:]
     if not np.isfinite(params.flat).all():
         raise ValueError(f"divergence: non-finite parameters at step {step}")
     return eta

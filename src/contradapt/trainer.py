@@ -33,10 +33,10 @@ from .model import (
     TAPPED_LAYERS,
     LrSchedule,
     ModelParams,
-    add_params_,
     backward,
     cross_entropy,
     cross_entropy_grad,
+    embed,
     forward,
     init_params,
     init_velocity,
@@ -266,7 +266,10 @@ def evaluate(params: ModelParams, dataset: Dataset) -> EvalResult:
 
 
 def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    return np.argmax(forward(params, features).logits, axis=1)
+    """Argmax-logit class ids, from the cache-free ``embed`` pass (no softmax)."""
+    logits = embed(params, features) @ params.logits_weight
+    logits += params.logits_bias
+    return np.argmax(logits, axis=1)
 
 
 def _build_probe(rng: np.random.Generator, source: Dataset, target: Dataset,
@@ -308,15 +311,14 @@ def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack
     if beta > 0.0:
         for side, stack in enumerate((stack_s, stack_t)):
             taps = {name: g[side] for name, g in zip(TAPPED_LAYERS, layer_grads)}
-            add_params_(grads, backward(params, stack, tap_grads=taps, beta=beta))
+            backward(params, stack, tap_grads=taps, beta=beta, out=grads)
     return total
 
 
 def add_ce_grads(grads: ModelParams, params: ModelParams, inputs, labels) -> float:
     """Add the gradient of mean cross-entropy into ``grads``; returns the loss."""
     stack = forward(params, inputs)
-    add_params_(grads, backward(params, stack,
-                                logits_grad=cross_entropy_grad(stack.probs, labels)))
+    backward(params, stack, logits_grad=cross_entropy_grad(stack.probs, labels), out=grads)
     return cross_entropy(stack.probs, labels)
 
 
@@ -349,9 +351,9 @@ def _cdd_g(state: TrainState, config: TrainConfig) -> float | None:
 
 
 def _cluster_target(state: TrainState, config: TrainConfig) -> _PseudoLabels:
-    phi_source = forward(state.params, state.source.features).bottleneck
+    phi_source = embed(state.params, state.source.features)
     centers = source_class_centers(phi_source, state.source.labels, state.n_classes)
-    phi_target = forward(state.params, state.target.features).bottleneck
+    phi_target = embed(state.params, state.target.features)
     cstate = spherical_kmeans(
         phi_target, centers, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol
     )
@@ -410,8 +412,9 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
     specs = None  # kernel specs, frozen at this loop's first discrepancy batch
     ce_values: list[float] = []
     cdd_values: list[float] = []
+    grads = zeros_like_params(state.params)
     for _ in range(config.steps_per_loop):
-        grads = zeros_like_params(state.params)
+        grads.flat.fill(0.0)
         batch = _cdd_batch(state, method) if method.cdd else None
         if batch is not None:
             stack_s, stack_t, taps = _forward_pair(state, batch)

@@ -3,6 +3,7 @@ import pytest
 
 from contradapt.clustering import (
     ClusterState,
+    _group_sums,
     cosine_dissimilarity,
     filter_targets,
     source_class_centers,
@@ -66,6 +67,21 @@ def test_source_class_centers_errors():
         source_class_centers([[1.0, 0.0]], [5], 2)
     with pytest.raises(ValueError, match="one label per row"):
         source_class_centers([[1.0, 0.0]], [0, 1], 1)
+
+
+def test_group_sums_equal_add_at_bit_for_bit():
+    rng = np.random.default_rng(12)
+    n, d, m = 400, 5, 9
+    x = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-300, 300, size=(n, d))
+    x[rng.random(size=(n, d)) < 0.2] = -0.0
+    x[:40] = -0.0
+    groups = rng.choice([0, 2, 3, 5, 7], size=n)  # 1, 4, 6 and 8 stay empty
+    groups[:40] = 8
+    ref = np.zeros((m, d))
+    np.add.at(ref, groups, x)
+    got = _group_sums(x, groups, m)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
 def test_kmeans_two_well_separated_groups():

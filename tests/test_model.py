@@ -6,12 +6,14 @@ import pytest
 from contradapt.gradcheck import central_difference, relative_gradient_error
 from contradapt.model import (
     CHECKPOINT_HEADER,
+    EMBED_BLOCK_ROWS,
     LrSchedule,
     ModelParams,
     add_params_,
     backward,
     cross_entropy,
     cross_entropy_grad,
+    embed,
     forward,
     init_params,
     init_velocity,
@@ -101,6 +103,33 @@ def test_forward_validation():
         forward(params, np.zeros(3))
     with pytest.raises(ValueError, match="width"):
         forward(params, np.zeros((2, 5)))
+    with pytest.raises(ValueError, match="2-d"):
+        embed(params, np.zeros(3))
+    with pytest.raises(ValueError, match="width"):
+        embed(params, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("hidden", [(5,), ()])
+def test_embed_matches_forward_bottleneck(hidden):
+    rng = np.random.default_rng(11)
+    params = _tiny_params(rng, in_dim=3, hidden=hidden)
+    small = rng.normal(size=(EMBED_BLOCK_ROWS - 1, 3))
+    assert np.array_equal(embed(params, small), forward(params, small).bottleneck)
+    large = rng.normal(size=(5000, 3))  # three blocks
+    assert np.allclose(embed(params, large), forward(params, large).bottleneck,
+                       rtol=0.0, atol=1e-12)
+    assert embed(params, np.zeros((0, 3))).shape == (0, 4)
+
+
+@pytest.mark.parametrize("hidden", [(5,), ()])
+def test_forward_and_embed_leave_inputs_unchanged(hidden):
+    params = _tiny_params(hidden=hidden)
+    params.bottleneck_bias[:] = 1.0  # an in-place bias-add on the inputs would show
+    x = np.random.default_rng(4).normal(size=(6, 3))
+    before = x.copy()
+    forward(params, x)
+    embed(params, x)
+    assert np.array_equal(x, before)
 
 
 def test_cross_entropy_examples():
@@ -272,6 +301,21 @@ def test_vector_round_trip():
     assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), back.arrays()))
     with pytest.raises(ValueError, match="length"):
         vector_to_params(vec[:-1], params)
+
+
+def test_backward_into_out_equals_add_params_bit_for_bit():
+    rng = np.random.default_rng(8)
+    params = _tiny_params(rng, hidden=(5, 4))
+    x = rng.normal(size=(6, 3))
+    stack = forward(params, x)
+    kwargs = dict(logits_grad=cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6)),
+                  tap_grads={"bottleneck": rng.normal(size=(6, 4)),
+                             "logits": rng.normal(size=(6, 3))}, beta=0.3)
+    dst = vector_to_params(rng.normal(size=params.flat.size), params)
+    ref = dst.copy()
+    add_params_(ref, backward(params, stack, **kwargs))
+    assert backward(params, stack, out=dst, **kwargs) is dst
+    assert np.array_equal(dst.flat, ref.flat)
 
 
 def test_add_params_accumulates():

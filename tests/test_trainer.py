@@ -24,6 +24,7 @@ from contradapt.trainer import (
     LoopMetrics,
     TrainConfig,
     evaluate,
+    predict,
     train,
 )
 
@@ -151,6 +152,14 @@ def test_evaluate_tie_breaks_toward_lowest_class():
     assert result.mean_class_accuracy == 0.5
     with pytest.raises(ValueError, match="no ground-truth labels"):
         evaluate(params, ds.without_labels())
+
+
+@pytest.mark.parametrize("n_rows", [50, 5000])
+def test_predict_equals_forward_argmax(n_rows):
+    rng = np.random.default_rng(6)
+    params = init_params(rng, 2, (8,), 4, 3)
+    x = 3.0 * rng.normal(size=(n_rows, 2))
+    assert np.array_equal(predict(params, x), np.argmax(forward(params, x).logits, axis=1))
 
 
 def test_train_zero_loops_reports_init_model():
