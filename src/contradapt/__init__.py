@@ -10,7 +10,6 @@ are drawn class-aware so the discrepancy stays estimable.
 from .clustering import (
     ClusterState,
     FilterResult,
-    cosine_dissimilarity,
     filter_targets,
     source_class_centers,
     spherical_kmeans,
@@ -28,8 +27,6 @@ from .discrepancy import (
     LabeledBatch,
     cdd,
     cdd_grad,
-    class_mask,
-    class_pair_discrepancy,
     mmd_squared,
 )
 from .kernels import (
@@ -91,9 +88,6 @@ __all__ = [
     "cdd",
     "cdd_grad",
     "class_aware_batch",
-    "class_mask",
-    "class_pair_discrepancy",
-    "cosine_dissimilarity",
     "cross_entropy",
     "cross_entropy_grad",
     "evaluate",

@@ -49,15 +49,6 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def cosine_dissimilarity(a, b) -> float:
-    """(1 - cos(a, b)) / 2 with zero-norm inputs pinned to 0.5."""
-    ua = _unit_rows(np.asarray(a, dtype=float).reshape(1, -1))
-    ub = _unit_rows(np.asarray(b, dtype=float).reshape(1, -1))
-    if ua.shape != ub.shape:
-        raise ValueError("vectors must share one length")
-    return float(np.clip(0.5 * (1.0 - ua @ ub.T), 0.0, 1.0)[0, 0])
-
-
 def _group_sums(x: np.ndarray, groups: np.ndarray, m: int) -> np.ndarray:
     """(m, d) sums of the rows of ``x`` per group id, as ``np.add.at`` gives them:
     each group's rows are added in index order, starting from +0.0."""

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 DOMAINS = ("source", "target")
 UNLABELED = -1
+# rows formatted per ``save_csv`` write: bounds its memory, not its output
+_WRITE_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -207,50 +210,112 @@ def _header(dim: int) -> list[str]:
 
 def save_csv(dataset: Dataset, path) -> None:
     """Write ``feature_0..feature_{d-1},label,domain`` rows; floats keep 17
-    significant digits so a round trip is exact."""
+    significant digits (``%.17g``) so a round trip is exact.
+
+    Rows are formatted from one template, ``_WRITE_CHUNK_ROWS`` at a time, so
+    the whole file's text is never held in memory.
+    """
+    row = ",".join(["%.17g"] * dataset.dim) + ",%d," + dataset.domain + "\n"
     with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(dataset.dim))
-        for row, label in zip(dataset.features, dataset.labels):
-            writer.writerow([f"{v:.17g}" for v in row] + [str(int(label)), dataset.domain])
+        fh.write(",".join(_header(dataset.dim)) + "\n")
+        for lo in range(0, dataset.n, _WRITE_CHUNK_ROWS):
+            hi = lo + _WRITE_CHUNK_ROWS
+            fh.writelines(row % (*feats, label) for feats, label in
+                          zip(dataset.features[lo:hi].tolist(), dataset.labels[lo:hi].tolist()))
 
 
 def load_csv(path) -> Dataset:
-    """Parse a dataset CSV, reporting the offending line number on bad input."""
+    """Parse a dataset CSV, reporting the offending line number on bad input.
+
+    A file in the form ``save_csv`` writes is parsed in one ``np.loadtxt``
+    call; any other file goes through the line-by-line parser, which accepts
+    what ``csv`` accepts and names the first bad line.
+    """
     with open(path, "r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
+        parsed = _parse_plain(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _parse_rows(fh, path)
+    features, labels, domain = parsed
+    return Dataset(features, labels, domain)
+
+
+def _counted_plain_lines(fh, count: list):
+    """Yield the lines of ``fh``, counting them in ``count[0]``.
+
+    Raise on a CR (plain files are LF-only), a NUL (the ``U7`` domain field
+    drops trailing NULs) and the separators ``\\x1c``-``\\x1f`` (``np.loadtxt``
+    strips them around numbers; ``float`` and ``int`` refuse them).
+    """
+    for count[0], line in enumerate(fh, start=1):
+        if ("\r" in line or "\0" in line or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise ValueError("not a plain line")
+        yield line
+
+
+def _parse_plain(fh):
+    """``(features, labels, domain)`` of a file with the exact header, one row
+    per line, LF line ends, unquoted fields and one domain; ``None`` for
+    anything else, including input the line-by-line parser would reject."""
+    count = [0]
+    try:
+        first = fh.readline()
+        dim = first.count(",") - 1
+        if dim < 1 or first != ",".join(_header(dim)) + "\n":
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = np.loadtxt(
+                _counted_plain_lines(fh, count), delimiter=",", comments=None, ndmin=1,
+                # wider than any domain name, so a longer field cannot be cut to one
+                dtype=[("x", float, (dim,)), ("y", int), ("d", "U7")],
+            )
+    except (ValueError, Warning):  # a parse error, or numpy warning of odd input
+        return None
+    domains = body["d"]
+    if (len(body) != count[0] or len(body) == 0 or domains[0] not in DOMAINS
+            or (domains != domains[0]).any() or (body["y"] < UNLABELED).any()):
+        return None
+    return np.ascontiguousarray(body["x"]), np.ascontiguousarray(body["y"]), str(domains[0])
+
+
+def _parse_rows(fh, path):
+    """``(features, labels, domain)`` read one ``csv`` row at a time, with the
+    line number of the first bad row in every error."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError(f"{path}: empty file") from None
+    dim = len(header) - 2
+    if dim < 1 or header != _header(dim):
+        raise ValueError(f"{path}: line 1: unrecognized header")
+    feats: list[list[float]] = []
+    labels: list[int] = []
+    domain: str | None = None
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != dim + 2:
+            raise ValueError(f"{path}: line {line_no}: expected {dim + 2} columns, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        dim = len(header) - 2
-        if dim < 1 or header != _header(dim):
-            raise ValueError(f"{path}: line 1: unrecognized header")
-        feats: list[list[float]] = []
-        labels: list[int] = []
-        domain: str | None = None
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 2:
-                raise ValueError(f"{path}: line {line_no}: expected {dim + 2} columns, got {len(row)}")
-            try:
-                feats.append([float(v) for v in row[:dim]])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad feature value") from None
-            try:
-                label = int(row[dim])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: bad label") from None
-            if label < UNLABELED:
-                raise ValueError(f"{path}: line {line_no}: label below -1")
-            labels.append(label)
-            if row[dim + 1] not in DOMAINS:
-                raise ValueError(f"{path}: line {line_no}: bad domain {row[dim + 1]!r}")
-            if domain is None:
-                domain = row[dim + 1]
-            elif row[dim + 1] != domain:
-                raise ValueError(f"{path}: line {line_no}: mixed domains in one file")
+            feats.append([float(v) for v in row[:dim]])
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: bad feature value") from None
+        try:
+            label = int(row[dim])
+        except ValueError:
+            raise ValueError(f"{path}: line {line_no}: bad label") from None
+        if label < UNLABELED:
+            raise ValueError(f"{path}: line {line_no}: label below -1")
+        labels.append(label)
+        if row[dim + 1] not in DOMAINS:
+            raise ValueError(f"{path}: line {line_no}: bad domain {row[dim + 1]!r}")
         if domain is None:
-            raise ValueError(f"{path}: no samples")
-    return Dataset(np.asarray(feats), np.asarray(labels, dtype=int), domain)
+            domain = row[dim + 1]
+        elif row[dim + 1] != domain:
+            raise ValueError(f"{path}: line {line_no}: mixed domains in one file")
+    if domain is None:
+        raise ValueError(f"{path}: no samples")
+    return np.asarray(feats), np.asarray(labels, dtype=int), domain

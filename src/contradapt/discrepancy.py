@@ -102,34 +102,6 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
     return float(k_ss.mean() + k_tt.mean() - 2.0 * k_st.mean())
 
 
-def class_mask(y: int, y_prime: int, c: int, c_prime: int) -> int:
-    """1 iff ``y == c`` and ``y_prime == c_prime``, else 0."""
-    return 1 if (y == c and y_prime == c_prime) else 0
-
-
-def class_pair_discrepancy(
-    spec: KernelSpec, batch: LabeledBatch, layer: int, c1: int, c2: int
-) -> tuple[float, float, float, float]:
-    """Discrepancy of one ordered class pair at one layer.
-
-    Returns:
-        ``(value, e1, e2, e3)`` where ``value = e1 + e2 - 2 * e3``.
-
-    Raises:
-        ValueError: if either mask selects no samples ("empty class pair").
-    """
-    s = batch.source_features[layer]
-    t = batch.target_features[layer]
-    in_c1 = batch.source_labels == c1
-    in_c2 = batch.target_labels == c2
-    if not in_c1.any() or not in_c2.any():
-        raise ValueError("empty class pair")
-    e1 = float(kernel_matrix(spec, s[in_c1], s[in_c1]).mean())
-    e2 = float(kernel_matrix(spec, t[in_c2], t[in_c2]).mean())
-    e3 = float(kernel_matrix(spec, s[in_c1], t[in_c2]).mean())
-    return e1 + e2 - 2.0 * e3, e1, e2, e3
-
-
 def _specs_for(batch: LabeledBatch, specs) -> list[KernelSpec]:
     if isinstance(specs, KernelSpec):
         return [specs] * len(batch.source_features)

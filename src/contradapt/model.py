@@ -149,12 +149,6 @@ def zeros_like_params(params: ModelParams) -> ModelParams:
 init_velocity = zeros_like_params
 
 
-def add_params_(dst: ModelParams, src: ModelParams) -> ModelParams:
-    """In-place elementwise accumulation of one gradient container into another."""
-    dst.flat += src.flat
-    return dst
-
-
 def _check_inputs(params: ModelParams, inputs) -> np.ndarray:
     x = np.asarray(inputs, dtype=float)
     if x.ndim != 2:

@@ -4,16 +4,20 @@ Everything here is written as a literal transcription of the definitions --
 scalar loops, no vectorization -- so agreement with the library is evidence,
 not tautology.  The ``loop_kernel_*`` references are the exception: they
 loop over mixture components on whole matrices, the arithmetic the batched
-library kernels must reproduce bit for bit.
+library kernels must reproduce bit for bit.  The CSV writer and reader are
+the ``csv``-module implementations the faster library I/O must match byte
+for byte and value for value, error messages included.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
 import numpy as np
 
+from contradapt.data import Dataset
 from contradapt.kernels import squared_distances
 
 
@@ -139,3 +143,63 @@ def kmeans_best_objective(points, init_centers) -> float:
         obj = sum(cosine_dissim(points[i], centers[assign[i]]) for i in range(points.shape[0]))
         best = min(best, obj)
     return best
+
+
+def add_params_(dst, src):
+    """In-place elementwise accumulation of one gradient container into another."""
+    dst.flat += src.flat
+    return dst
+
+
+def _csv_header(dim: int) -> list[str]:
+    return [f"feature_{i}" for i in range(dim)] + ["label", "domain"]
+
+
+def csv_writer_save(dataset, path) -> None:
+    """Dataset CSV written one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_csv_header(dataset.dim))
+        for row, label in zip(dataset.features, dataset.labels):
+            writer.writerow([f"{v:.17g}" for v in row] + [str(int(label)), dataset.domain])
+
+
+def csv_reader_load(path) -> Dataset:
+    """Dataset CSV parsed one ``csv.reader`` row at a time, raising
+    ``ValueError`` with the first bad line's number."""
+    domains = ("source", "target")
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
+        dim = len(header) - 2
+        if dim < 1 or header != _csv_header(dim):
+            raise ValueError(f"{path}: line 1: unrecognized header")
+        feats, labels, domain = [], [], None
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != dim + 2:
+                raise ValueError(f"{path}: line {line_no}: expected {dim + 2} columns, got {len(row)}")
+            try:
+                feats.append([float(v) for v in row[:dim]])
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: bad feature value") from None
+            try:
+                label = int(row[dim])
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: bad label") from None
+            if label < -1:
+                raise ValueError(f"{path}: line {line_no}: label below -1")
+            labels.append(label)
+            if row[dim + 1] not in domains:
+                raise ValueError(f"{path}: line {line_no}: bad domain {row[dim + 1]!r}")
+            if domain is None:
+                domain = row[dim + 1]
+            elif row[dim + 1] != domain:
+                raise ValueError(f"{path}: line {line_no}: mixed domains in one file")
+        if domain is None:
+            raise ValueError(f"{path}: no samples")
+    return Dataset(np.asarray(feats), np.asarray(labels, dtype=int), domain)

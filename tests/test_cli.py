@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -70,6 +71,30 @@ def test_gen_writes_unlabeled_target(tmp_path, capsys):
     assert main(["train", "--source", str(out / "source.csv"),
                  "--target", artifacts["target_unlabeled"], "--out", str(tmp_path / "run")]
                 + _FAST_TRAIN) == 0
+
+
+# SHA-256 of every CSV that ``gen`` writes, recorded with the csv-module writer.
+_GEN_DIGESTS = {
+    "moons": (["--kind", "moons", "--seed", "0"], {
+        "source.csv": "d585986876dc71495897118c5c98a4145ba1390c99c1c35cb5a91de332a377f8",
+        "target.csv": "b5a2230e465d6b63c1edf52de608b1798cbb17fe51587f0b6851529d0f698dbd",
+        "target_unlabeled.csv": "ae642e6a60a2a85458faf997cc84394136c013bea0b26d7ef29e1cdccb1fcdd1",
+    }),
+    "blobs": (["--kind", "blobs", "--seed", "3", "--per-class", "25", "--classes", "3",
+               "--dims", "5", "--translation", "1.5"], {
+        "source.csv": "3547224801242b570b632df8a5e49b943e9833e90a97a53b057431d20822b540",
+        "target.csv": "d375f702b808cb167d3f3f592e75e4f71053f831eb260f688d5249efc5b07996",
+        "target_unlabeled.csv": "0d196aa385aa073a770f0143f22528b91979eb7b5a67798c964db3a25fdddc78",
+    }),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_GEN_DIGESTS))
+def test_gen_output_bytes_are_pinned(tmp_path, capsys, kind):
+    args, digests = _GEN_DIGESTS[kind]
+    assert main(["gen", "--out", str(tmp_path)] + args) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_gen_blobs_respects_flags(tmp_path):

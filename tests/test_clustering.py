@@ -4,7 +4,8 @@ import pytest
 from contradapt.clustering import (
     ClusterState,
     _group_sums,
-    cosine_dissimilarity,
+    _pairwise_dissimilarity,
+    _unit_rows,
     filter_targets,
     source_class_centers,
     spherical_kmeans,
@@ -24,6 +25,12 @@ def _state(assignments, dissimilarities, n_clusters):
     )
 
 
+def cosine_dissimilarity(a, b) -> float:
+    """One entry of the dissimilarity matrix k-means and the filter use."""
+    unit = _unit_rows(np.asarray([a, b], dtype=float))
+    return float(_pairwise_dissimilarity(unit[:1], unit[1:])[0, 0])
+
+
 def test_cosine_dissimilarity_examples():
     assert cosine_dissimilarity([1.0, 0.0], [1.0, 0.0]) == 0.0
     assert cosine_dissimilarity([1.0, 0.0], [0.0, 1.0]) == 0.5
@@ -31,8 +38,6 @@ def test_cosine_dissimilarity_examples():
     assert cosine_dissimilarity([0.0, 0.0], [1.0, 0.0]) == 0.5  # zero-norm guard
     # scale invariance
     assert cosine_dissimilarity([3.0, 4.0], [30.0, 40.0]) == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError, match="one length"):
-        cosine_dissimilarity([1.0], [1.0, 0.0])
 
 
 def test_cosine_dissimilarity_matches_oracle():

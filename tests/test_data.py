@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,11 +8,14 @@ from contradapt.data import (
     BlobShift,
     Dataset,
     MOONS_CENTER,
+    _parse_plain,
     gen_blobs,
     gen_moons,
     load_csv,
     save_csv,
 )
+
+from oracles import csv_reader_load, csv_writer_save
 
 
 def test_dataset_validation():
@@ -162,6 +166,7 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(loaded.features, src.features)
     assert np.array_equal(loaded.labels, src.labels)
     assert loaded.domain == "source"
+    assert loaded.features.dtype == np.float64 and loaded.features.flags.c_contiguous
     text = path.read_text()
     assert text.startswith("feature_0,feature_1,feature_2,label,domain\n")
     assert "\r" not in text
@@ -213,3 +218,135 @@ def test_csv_error_line_numbers_skip_past_good_rows(tmp_path):
     path = _write(tmp_path, "late.csv", head + body)
     with pytest.raises(ValueError, match="line 5: bad feature"):
         load_csv(path)
+
+
+_EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1.0 / 3.0, 1.0, -2.0, 3e16, 12345678.0, 0.1, 1e-7]
+
+
+@pytest.mark.parametrize("domain", ["source", "target"])
+@pytest.mark.parametrize("rows", [7, 9000])  # 9000 spans three write chunks
+def test_save_csv_bytes_equal_csv_writer(tmp_path, domain, rows):
+    rng = np.random.default_rng(rows)
+    features = rng.normal(size=(rows, 3)) * 10.0 ** rng.integers(-5, 6, size=(rows, 1))
+    features.flat[: len(_EDGE_VALUES)] = _EDGE_VALUES
+    labels = rng.integers(-1, 4, size=rows)
+    labels[:2] = -1
+    dataset = Dataset(features, labels, domain)
+    save_csv(dataset, tmp_path / "fast.csv")
+    csv_writer_save(dataset, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+_HEAD = "feature_0,feature_1,label,domain\n"
+_ROW = "1.0,2.0,0,source\n"
+
+# name -> file text; each is read by both parsers and must give the same
+# arrays or the same error message.
+_READ_CASES = {
+    "empty": "",
+    "header": "a,b,c\n",
+    "quoted_header": '"feature_0",feature_1,label,domain\n' + _ROW,
+    "header_only": _HEAD,
+    "header_no_newline": _HEAD.rstrip("\n"),
+    "cols": _HEAD + "1.0,2.0,0\n",
+    "feat": _HEAD + "1.0,zap,0,source\n",
+    "label": _HEAD + "1.0,2.0,x,source\n",
+    "neg": _HEAD + "1.0,2.0,-3,source\n",
+    "domain": _HEAD + "1.0,2.0,0,nowhere\n",
+    "mixed": _HEAD + _ROW + "3.0,4.0,1,target\n",
+    "late_bad_feature": _HEAD + _ROW * 3 + "1.0,oops,1,source\n",
+    "plain": _HEAD + _ROW + "-3.5e-7,4,-1,source\n",
+    "whitespace_line": _HEAD + _ROW + "   \n" + _ROW,
+    "tab_line": _HEAD + "\t\n" + _ROW,
+    "blank_line": _HEAD + _ROW + "\n" + _ROW,
+    "trailing_blank_line": _HEAD + _ROW + "\n",
+    "crlf": (_HEAD + _ROW + _ROW).replace("\n", "\r\n"),
+    "crlf_body": _HEAD + _ROW.replace("\n", "\r\n") * 2,
+    "lone_cr": _HEAD + _ROW.replace("\n", "\r") + _ROW,
+    "cr_in_field": _HEAD + "1.0,2\r.0,0,source\n",
+    "no_trailing_newline": _HEAD + _ROW + _ROW.rstrip("\n"),
+    "quoted_field": _HEAD + '"1.0",2.0,0,source\n',
+    "quoted_domain": _HEAD + '1.0,2.0,0,"source"\n',
+    "label_float": _HEAD + "1.0,2.0,1.0,source\n",
+    "label_underscore": _HEAD + "1.0,2.0,1_0,source\n",
+    "feature_underscore": _HEAD + "1_0,2.0,1,source\n",
+    "label_plus_padded": _HEAD + "1.0,2.0, +1 ,source\n",
+    "label_leading_zeros": _HEAD + "1.0,2.0,007,source\n",
+    "label_huge": _HEAD + "1.0,2.0,99999999999999999999,source\n",
+    "feature_padded": _HEAD + " 1.5\x0c,\x1c2.5 ,0,target\n",
+    "feature_nan": _HEAD + "nan,2.0,0,source\n",
+    "feature_inf": _HEAD + "1.0,-Infinity,0,source\n",
+    "feature_hex": _HEAD + "0x10,2.0,0,source\n",
+    "empty_field": _HEAD + "1.0,,0,source\n",
+    "empty_domain": _HEAD + "1.0,2.0,0,\n",
+    "padded_domain": _HEAD + "1.0,2.0,0, source\n",
+    "domain_trailing_space": _HEAD + "1.0,2.0,0,source \n",
+    "domain_nul": _HEAD + "1.0,2.0,0,source\x00\n",
+    "feature_nul": _HEAD + "1.0\x00,2.0,0,source\n",
+    "sourcesource": _HEAD + "1.0,2.0,0,sourcesource\n",
+    "extra_column": _HEAD + "1.0,2.0,0,source,\n",
+    "comment_in_domain": _HEAD + "1.0,2.0,0,source#c\n",
+    "comment_line": _HEAD + "#c\n" + _ROW,
+}
+
+
+def _outcome(load, path):
+    try:
+        ds = load(path)
+    except (ValueError, OverflowError) as exc:  # a huge label overflows int64
+        return type(exc), str(exc)
+    return ds
+
+
+@pytest.mark.parametrize("name", sorted(_READ_CASES))
+def test_load_csv_equals_csv_reader(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(_READ_CASES[name].encode("ascii"))
+    got, want = _outcome(load_csv, path), _outcome(csv_reader_load, path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert np.array_equal(got.features, want.features)
+        assert np.array_equal(got.labels, want.labels)
+        assert got.domain == want.domain
+        assert got.features.dtype == np.float64 and got.features.flags.c_contiguous
+        assert got.labels.dtype == want.labels.dtype
+
+
+def test_load_csv_non_ascii_raises_as_csv_reader(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(_HEAD.encode() + b"1.0,2.0,0,s\xf6urce\n")
+    with pytest.raises(UnicodeDecodeError) as fast:
+        load_csv(path)
+    with pytest.raises(UnicodeDecodeError) as ref:
+        csv_reader_load(path)
+    assert str(fast.value) == str(ref.value)
+
+
+def test_save_csv_output_takes_one_call_parse(tmp_path):
+    src, _ = gen_blobs(seed=9, n_classes=3, per_class=5, dim=4)
+    path = tmp_path / "src.csv"
+    save_csv(src.without_labels(), path)
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        features, labels, domain = _parse_plain(fh)
+    assert np.array_equal(features, src.features) and features.flags.c_contiguous
+    assert np.array_equal(labels, np.full(15, -1)) and domain == "source"
+
+
+@pytest.mark.parametrize("name", ["crlf_body", "blank_line", "quoted_field", "label_underscore",
+                                  "domain_nul", "header_only"])
+def test_other_forms_go_line_by_line(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(_READ_CASES[name].encode("ascii"))
+    with open(path, "r", newline="", encoding="ascii") as fh:
+        assert _parse_plain(fh) is None
+
+
+def test_header_only_file_raises_without_warning(tmp_path):
+    path = _write(tmp_path, "nosamples.csv", "feature_0,feature_1,label,domain\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="no samples"):
+            load_csv(path)
+    assert caught == []

@@ -8,8 +8,6 @@ from contradapt.discrepancy import (
     cdd,
     cdd_grad,
     cdd_value_and_grad,
-    class_mask,
-    class_pair_discrepancy,
     mmd_squared,
 )
 from contradapt.gradcheck import central_difference, relative_gradient_error
@@ -66,13 +64,6 @@ def test_mmd_empty_domain_raises():
         mmd_squared(spec, np.zeros((0, 2)), np.zeros((3, 2)))
 
 
-def test_class_mask():
-    assert class_mask(1, 2, 1, 2) == 1
-    assert class_mask(1, 2, 1, 1) == 0
-    assert class_mask(0, 0, 0, 0) == 1
-    assert class_mask(2, 0, 1, 0) == 0
-
-
 def test_class_pair_discrepancy_example():
     spec = uniform_spec((1.0,))
     batch = LabeledBatch(
@@ -82,12 +73,16 @@ def test_class_pair_discrepancy_example():
         target_labels=np.array([1]),
         class_set=(0, 1),
     )
-    value, e1, e2, e3 = class_pair_discrepancy(spec, batch, 0, 0, 1)
-    assert e1 == 1.0 and e2 == 1.0
-    assert e3 == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert value == pytest.approx(2.0 - 2.0 * math.exp(-0.5), abs=1e-15)
+    # one sample per side: e1 = e2 = 1 and e3 = exp(-1/2), so the (0, 1) pair
+    # is 2 - 2 exp(-1/2); no other pair has samples on both sides
+    value = cdd(spec, batch, skip_missing_pairs=True)
+    pair = 2.0 - 2.0 * math.exp(-0.5)
+    assert value.per_pair.keys() == {(0, 1)}
+    assert value.per_pair[(0, 1)] == pytest.approx(pair, abs=1e-15)
+    assert value.intra == 0.0
+    assert value.inter == pytest.approx(pair, abs=1e-15)
     with pytest.raises(ValueError, match="empty class pair"):
-        class_pair_discrepancy(spec, batch, 0, 1, 1)
+        cdd(spec, batch)
 
 
 def test_cdd_matches_naive_oracle():

@@ -9,7 +9,6 @@ from contradapt.model import (
     EMBED_BLOCK_ROWS,
     LrSchedule,
     ModelParams,
-    add_params_,
     backward,
     cross_entropy,
     cross_entropy_grad,
@@ -24,6 +23,8 @@ from contradapt.model import (
     vector_to_params,
     zeros_like_params,
 )
+
+from oracles import add_params_
 
 
 def _tiny_params(rng=None, in_dim=3, hidden=(5,), bottleneck=4, n_classes=3):

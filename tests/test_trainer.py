@@ -10,7 +10,6 @@ from contradapt.gradcheck import composite_loss_and_grads
 from contradapt.kernels import uniform_spec
 from contradapt.model import (
     ModelParams,
-    add_params_,
     backward,
     cross_entropy,
     cross_entropy_grad,
@@ -28,6 +27,7 @@ from contradapt.trainer import (
     train,
 )
 
+from oracles import add_params_
 from test_acceptance import MOONS_A3_CFG, MOONS_KW, MOONS_SEED
 
 
