@@ -32,7 +32,6 @@ from .discrepancy import (
 from .kernels import (
     KernelSpec,
     kernel_matrix,
-    kernel_matrix_grad,
     median_heuristic,
     median_kernel_spec,
     squared_distances,
@@ -98,7 +97,6 @@ __all__ = [
     "init_params",
     "init_velocity",
     "kernel_matrix",
-    "kernel_matrix_grad",
     "load_checkpoint",
     "load_csv",
     "median_heuristic",

@@ -22,6 +22,7 @@ from .trainer import METHODS, TrainConfig, evaluate, train
 log = logging.getLogger("contradapt")
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
+_SCALARS = {"str": str, "int": int, "float": float}
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -49,14 +50,21 @@ def _load_config_file(path: str) -> tuple[dict, str | None, str | None]:
     return cfg, source, target
 
 
-def _parse_hidden_sizes(text: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise ValueError(f"bad --hidden-sizes value {text!r}") from None
-    if not sizes:
-        raise ValueError("--hidden-sizes must name at least one width")
-    return sizes
+def _comma_list(annotation: str):
+    """Argument type parsing a comma-separated list for a ``tuple[X, ...]`` field."""
+    item = _SCALARS[annotation.removeprefix("tuple[").removesuffix(", ...]")]
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(item(v) for v in text.split(",") if v.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {item.__name__} values, got {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+
+    return parse
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -238,28 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--target", help="target CSV path")
     p_train.add_argument("--out", required=True, help="run directory")
     p_train.add_argument("--config", help="JSON config file (or a previous run manifest)")
-    p_train.add_argument("--method", choices=METHODS)
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--loops", type=int)
-    p_train.add_argument("--steps-per-loop", dest="steps_per_loop", type=int)
-    p_train.add_argument("--beta", type=float)
-    p_train.add_argument("--d0", type=float)
-    p_train.add_argument("--n0", type=int)
-    p_train.add_argument("--classes-per-batch", dest="classes_per_batch", type=int)
-    p_train.add_argument("--per-class-source", dest="per_class_source", type=int)
-    p_train.add_argument("--per-class-target", dest="per_class_target", type=int)
-    p_train.add_argument("--ce-batch-size", dest="ce_batch_size", type=int)
-    p_train.add_argument("--eta0", type=float)
-    p_train.add_argument("--lr-a", dest="lr_a", type=float)
-    p_train.add_argument("--lr-b", dest="lr_b", type=float)
-    p_train.add_argument("--momentum", type=float)
-    p_train.add_argument("--logits-lr-mult", dest="logits_lr_mult", type=float)
-    p_train.add_argument("--hidden-sizes", dest="hidden_sizes", type=_parse_hidden_sizes,
-                         metavar="W1,W2,...")
-    p_train.add_argument("--bottleneck-dim", dest="bottleneck_dim", type=int)
-    p_train.add_argument("--kmeans-max-iters", dest="kmeans_max_iters", type=int)
-    p_train.add_argument("--kmeans-tol", dest="kmeans_tol", type=float)
-    p_train.add_argument("--probe-per-class", dest="probe_per_class", type=int)
+    for f in dataclasses.fields(TrainConfig):  # one flag per config field
+        flag = "--" + f.name.replace("_", "-")
+        if f.name == "method":
+            p_train.add_argument(flag, dest=f.name, choices=METHODS)
+        elif f.type.startswith("tuple["):
+            p_train.add_argument(flag, dest=f.name, type=_comma_list(f.type), metavar="V1,V2,...")
+        else:
+            p_train.add_argument(flag, dest=f.name, type=_SCALARS[f.type])
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a labeled CSV")
     p_eval.add_argument("--checkpoint", required=True)

@@ -20,7 +20,7 @@ pushed up.  Multi-layer inputs sum the per-layer totals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,18 +76,17 @@ class LabeledBatch:
 
 @dataclass
 class CddValue:
-    """Aggregate contrastive discrepancy of a batch.
+    """Contrastive discrepancy of a batch, summed over layers.
 
-    ``total == intra - inter`` holds per layer and in aggregate.  ``per_pair``
-    maps ordered class pairs to their discrepancy averaged over layers, so
-    each entry stays inside ``[-2, 2]``.
+    ``total == intra - inter``.  ``grads`` holds one ``(grad_source,
+    grad_target)`` pair of ``total`` per layer, shaped like that layer's
+    features, or None when gradients were not requested.
     """
 
     total: float
     intra: float
     inter: float
-    per_pair: dict[tuple[int, int], float] = field(default_factory=dict)
-    per_layer: list[tuple[float, float, float]] = field(default_factory=list)
+    grads: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def mmd_squared(spec: KernelSpec, source, target) -> float:
@@ -111,16 +110,8 @@ def _specs_for(batch: LabeledBatch, specs) -> list[KernelSpec]:
     return out
 
 
-def _layer_tables(k_ss, k_tt, k_st, ms, mt, ns_safe, nt_safe):
-    """Per-class kernel means E1, E2 (vectors) and E3 (matrix), zero where undefined."""
-    e1 = np.einsum("ic,ij,jc->c", ms, k_ss, ms) / ns_safe**2
-    e2 = np.einsum("ic,ij,jc->c", mt, k_tt, mt) / nt_safe**2
-    e3 = (ms.T @ k_st @ mt) / np.outer(ns_safe, nt_safe)
-    return e1, e2, e3
-
-
 def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
-    """Masks, safe counts, and averaging masks shared by value and gradient paths."""
+    """Class masks, safe class counts, and the intra/inter pair masks."""
     batch.validate(require_both_domains=not skip_missing_pairs)
     classes = np.asarray(batch.class_set, dtype=int)
     ms = (batch.source_labels[:, None] == classes[None, :]).astype(float)
@@ -135,7 +126,7 @@ def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool)
         inter_mask = np.zeros_like(inter_mask)
     ns_safe = np.where(ns > 0, ns, 1.0)
     nt_safe = np.where(nt > 0, nt, 1.0)
-    return classes, ms, mt, ns_safe, nt_safe, intra_mask, inter_mask
+    return ms, mt, ns_safe, nt_safe, intra_mask, inter_mask
 
 
 def _upstreams(ms, mt, ns_safe, nt_safe, intra_mask, inter_mask):
@@ -156,59 +147,18 @@ def _upstreams(ms, mt, ns_safe, nt_safe, intra_mask, inter_mask):
     return u_ss, u_tt, u_st
 
 
-def _layer_terms(layer_specs, batch: LabeledBatch, setup, with_grad: bool):
-    """Per layer: the pair discrepancy table ``d``, its intra and inter means,
-    and (with ``with_grad``) the ``(grad_source, grad_target)`` of the total.
-
-    Each kernel block is evaluated once and serves both value and gradient.
-    """
-    _, ms, mt, ns_safe, nt_safe, intra_mask, inter_mask = setup
-    n_intra = int(intra_mask.sum())
-    n_inter = int(inter_mask.sum())
-    u_ss, u_tt, u_st = _upstreams(*setup[1:]) if with_grad else (None, None, None)
-    out = []
-    for spec, s, t in zip(layer_specs, batch.source_features, batch.target_features):
-        k_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
-        k_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
-        k_st, g_st = kernel_value_and_grad(spec, s, t, u_st)
-        e1, e2, e3 = _layer_tables(k_ss, k_tt, k_st, ms, mt, ns_safe, nt_safe)
-        d = e1[:, None] + e2[None, :] - 2.0 * e3
-        intra = float(d[intra_mask].sum() / n_intra) if n_intra else 0.0
-        inter = float(d[inter_mask].sum() / n_inter) if n_inter else 0.0
-        grads = (g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]) if with_grad else None
-        out.append((d, intra, inter, grads))
-    return out
-
-
-def cdd_value_and_grad(
-    specs,
-    batch: LabeledBatch,
-    intra_only: bool = False,
-    skip_missing_pairs: bool = False,
-    with_grad: bool = True,
-) -> tuple[float, list[tuple[np.ndarray, np.ndarray]] | None]:
-    """``cdd(...).total`` and, with ``with_grad``, ``cdd_grad(...)`` from one
-    kernel evaluation per block; both equal the separate calls bit for bit.
-
-    Returns:
-        ``(total, grads)``; ``grads`` is None without ``with_grad``.
-    """
-    layer_specs = _specs_for(batch, specs)
-    setup = _pair_setup(batch, skip_missing_pairs, intra_only)
-    terms = _layer_terms(layer_specs, batch, setup, with_grad)
-    total = sum(v[1] for v in terms) - sum(v[2] for v in terms)
-    return total, [v[3] for v in terms] if with_grad else None
-
-
 def cdd(
     specs,
     batch: LabeledBatch,
     intra_only: bool = False,
     skip_missing_pairs: bool = False,
+    with_grad: bool = False,
 ) -> CddValue:
-    """Contrastive discrepancy of a batch, summed over layers, with its
-    per-pair and per-layer breakdown (for tests and diagnostics; training
-    uses ``cdd_value_and_grad``).
+    """Contrastive discrepancy of a batch, summed over layers, and with
+    ``with_grad`` its exact gradients w.r.t. every layer's features.
+
+    Each kernel block of each layer is evaluated once and serves both the
+    value and the gradient.
 
     Args:
         specs: one KernelSpec per layer, or a single spec reused everywhere.
@@ -219,24 +169,27 @@ def cdd(
     """
     layer_specs = _specs_for(batch, specs)
     setup = _pair_setup(batch, skip_missing_pairs, intra_only)
-    classes, intra_mask, inter_mask = setup[0], setup[5], setup[6]
-    terms = _layer_terms(layer_specs, batch, setup, with_grad=False)
-    per_layer = [(intra, inter, intra - inter) for _, intra, inter, _ in terms]
-    pair_sum = sum(d for d, *_ in terms)
-    per_pair: dict[tuple[int, int], float] = {}
-    for i, c1 in enumerate(classes):
-        for j, c2 in enumerate(classes):
-            if intra_mask[i, j] or inter_mask[i, j]:
-                per_pair[(int(c1), int(c2))] = float(pair_sum[i, j] / len(terms))
-    intra_total = sum(v[0] for v in per_layer)
-    inter_total = sum(v[1] for v in per_layer)
-    return CddValue(
-        total=intra_total - inter_total,
-        intra=intra_total,
-        inter=inter_total,
-        per_pair=per_pair,
-        per_layer=per_layer,
-    )
+    ms, mt, ns_safe, nt_safe, intra_mask, inter_mask = setup
+    n_intra = int(intra_mask.sum())
+    n_inter = int(inter_mask.sum())
+    u_ss, u_tt, u_st = _upstreams(*setup) if with_grad else (None, None, None)
+    intras, inters, grads = [], [], []
+    for spec, s, t in zip(layer_specs, batch.source_features, batch.target_features):
+        k_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
+        k_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
+        k_st, g_st = kernel_value_and_grad(spec, s, t, u_st)
+        # Per-class kernel means: e1, e2 vectors and the e3 matrix, zero where undefined.
+        e1 = np.einsum("ic,ij,jc->c", ms, k_ss, ms) / ns_safe**2
+        e2 = np.einsum("ic,ij,jc->c", mt, k_tt, mt) / nt_safe**2
+        e3 = (ms.T @ k_st @ mt) / np.outer(ns_safe, nt_safe)
+        d = e1[:, None] + e2[None, :] - 2.0 * e3
+        intras.append(float(d[intra_mask].sum() / n_intra) if n_intra else 0.0)
+        inters.append(float(d[inter_mask].sum() / n_inter) if n_inter else 0.0)
+        if with_grad:
+            grads.append((g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]))
+    intra, inter = sum(intras), sum(inters)
+    return CddValue(total=intra - inter, intra=intra, inter=inter,
+                    grads=grads if with_grad else None)
 
 
 def cdd_grad(
@@ -245,10 +198,6 @@ def cdd_grad(
     intra_only: bool = False,
     skip_missing_pairs: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradients of ``cdd(...).total`` w.r.t. every layer's features.
-
-    Returns:
-        One ``(grad_source, grad_target)`` pair per layer, shaped like the
-        corresponding feature arrays.
-    """
-    return cdd_value_and_grad(specs, batch, intra_only, skip_missing_pairs)[1]
+    """``cdd(..., with_grad=True).grads``: one ``(grad_source, grad_target)``
+    pair per layer."""
+    return cdd(specs, batch, intra_only, skip_missing_pairs, with_grad=True).grads

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrepancy import LabeledBatch, cdd, cdd_grad
-from .kernels import KernelSpec, kernel_matrix, kernel_matrix_grad, uniform_spec
+from .discrepancy import LabeledBatch, cdd
+from .kernels import KernelSpec, kernel_matrix, kernel_value_and_grad, uniform_spec
 from .model import forward, init_params, params_to_vector, vector_to_params, zeros_like_params
 from .trainer import add_cdd_grads, add_ce_grads, tapped_batch
 
@@ -66,7 +66,7 @@ def _random_spec(rng: np.random.Generator) -> KernelSpec:
 def check_kernel_gradients(
     n_instances: int = 12, seed: int = 0, rtol: float = 1e-4, step: float = DEFAULT_STEP
 ) -> ComponentReport:
-    """FD-check kernel_matrix_grad on random inputs and upstream weights."""
+    """FD-check kernel_value_and_grad on random inputs and upstream weights."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_instances):
@@ -75,7 +75,7 @@ def check_kernel_gradients(
         a = rng.normal(size=(n_a, d))
         b = rng.normal(size=(n_b, d))
         up = rng.normal(size=(n_a, n_b))
-        grad_a, grad_b = kernel_matrix_grad(spec, a, b, up)
+        grad_a, grad_b = kernel_value_and_grad(spec, a, b, up)[1]
         fd_a = central_difference(lambda m: float(np.sum(up * kernel_matrix(spec, m, b))), a, step)
         fd_b = central_difference(lambda m: float(np.sum(up * kernel_matrix(spec, a, m))), b, step)
         worst = max(
@@ -83,7 +83,7 @@ def check_kernel_gradients(
             relative_gradient_error(grad_a, fd_a),
             relative_gradient_error(grad_b, fd_b),
         )
-    return ComponentReport("kernel_matrix_grad", n_instances, worst, rtol)
+    return ComponentReport("kernel_value_and_grad", n_instances, worst, rtol)
 
 
 def _random_batch(rng: np.random.Generator, n_layers: int):
@@ -111,13 +111,13 @@ def _random_batch(rng: np.random.Generator, n_layers: int):
 def check_cdd_gradients(
     n_instances: int = 12, seed: int = 1, rtol: float = 1e-4, step: float = DEFAULT_STEP
 ) -> ComponentReport:
-    """FD-check cdd_grad across every layer's source and target features."""
+    """FD-check cdd's gradients across every layer's source and target features."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for i in range(n_instances):
         specs, batch = _random_batch(rng, n_layers=1 + i % 2)
         intra_only = bool(rng.integers(0, 2)) and i % 3 == 0
-        grads = cdd_grad(specs, batch, intra_only=intra_only)
+        grads = cdd(specs, batch, intra_only=intra_only, with_grad=True).grads
         for layer, (gs, gt) in enumerate(grads):
             def loss_s(m, layer=layer):
                 feats = [f if k != layer else m for k, f in enumerate(batch.source_features)]

@@ -157,17 +157,3 @@ def kernel_matrix(spec: KernelSpec, features_a, features_b) -> np.ndarray:
     Returns an ``(n_a, n_b)`` matrix; entries lie in ``(0, 1]``.
     """
     return kernel_value_and_grad(spec, features_a, features_b)[0]
-
-
-def kernel_matrix_grad(
-    spec: KernelSpec, features_a, features_b, upstream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``sum(upstream * kernel_matrix(spec, a, b))`` w.r.t. both inputs.
-
-    For one Gaussian component, d k / d a_i carries the factor
-    ``(b_j - a_i) / s2_m``; the mixture gradient sums the weighted components.
-
-    Returns:
-        ``(grad_a, grad_b)`` with the shapes of ``features_a`` / ``features_b``.
-    """
-    return kernel_value_and_grad(spec, features_a, features_b, upstream)[1]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .clustering import filter_targets, source_class_centers, spherical_kmeans
 from .data import Dataset
-from .discrepancy import LabeledBatch, cdd_value_and_grad
+from .discrepancy import LabeledBatch, cdd
 from .kernels import median_kernel_spec
 from .model import (
     TAPPED_LAYERS,
@@ -174,11 +174,7 @@ class TrainConfig:
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        kwargs = dict(obj)
-        for key in ("hidden_sizes", "bandwidth_multipliers"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 @dataclass
@@ -197,17 +193,7 @@ class LoopMetrics:
     learning_rate: float
 
     def record(self) -> dict:
-        return {
-            "loop": self.loop,
-            "ce_loss": self.ce_loss,
-            "cdd_estimate": self.cdd_estimate,
-            "cdd_g": self.cdd_g,
-            "target_accuracy": self.target_accuracy,
-            "clustering_accuracy": self.clustering_accuracy,
-            "n_kept": self.n_kept,
-            "n_kept_classes": self.n_kept_classes,
-            "learning_rate": self.learning_rate,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -305,14 +291,12 @@ def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack
                   skip_missing_pairs: bool = False) -> float:
     """Add ``beta`` times the discrepancy's parameter gradient into ``grads``
     (skipped at ``beta == 0``); returns the discrepancy value."""
-    total, layer_grads = cdd_value_and_grad(
-        specs, batch, intra_only, skip_missing_pairs, with_grad=beta > 0.0
-    )
+    value = cdd(specs, batch, intra_only, skip_missing_pairs, with_grad=beta > 0.0)
     if beta > 0.0:
         for side, stack in enumerate((stack_s, stack_t)):
-            taps = {name: g[side] for name, g in zip(TAPPED_LAYERS, layer_grads)}
+            taps = {name: g[side] for name, g in zip(TAPPED_LAYERS, value.grads)}
             backward(params, stack, tap_grads=taps, beta=beta, out=grads)
-    return total
+    return value.total
 
 
 def add_ce_grads(grads: ModelParams, params: ModelParams, inputs, labels) -> float:
@@ -347,7 +331,7 @@ def _cdd_g(state: TrainState, config: TrainConfig) -> float | None:
         return None
     _, _, batch = _forward_pair(state, state.probe)
     specs = _layer_specs(config, batch)
-    return float(cdd_value_and_grad(specs, batch, with_grad=False)[0])
+    return cdd(specs, batch).total
 
 
 def _cluster_target(state: TrainState, config: TrainConfig) -> _PseudoLabels:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 from contradapt import __version__
-from contradapt.cli import main
+from contradapt.cli import build_parser, main
 from contradapt.data import load_csv
-from contradapt.trainer import METHODS
+from contradapt.trainer import METHODS, TrainConfig
 
 
 def _gen_small(tmp_path, name="data", kind="blobs", seed=0, extra=()):
@@ -247,3 +248,24 @@ def test_hidden_sizes_parsing(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["train", "--out", str(tmp_path / "r"), "--hidden-sizes", "8,x"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--hidden-sizes" in err and "'8,x'" in err
+    assert "_parse_hidden_sizes" not in err
+
+
+def test_every_config_field_has_a_train_flag():
+    parser = build_parser()
+    for f in dataclasses.fields(TrainConfig):
+        value = f.default
+        text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+        args = parser.parse_args(["train", "--out", "r", "--" + f.name.replace("_", "-"), text])
+        assert getattr(args, f.name) == value
+
+
+def test_bandwidth_multipliers_flag_reaches_manifest(tmp_path, capsys):
+    data = _gen_small(tmp_path)
+    out = tmp_path / "run"
+    assert _run_train(data, out, ["--bandwidth-multipliers", "0.5,1,2"]) == 0
+    multipliers = json.loads((out / "manifest.json").read_text())["config"]["bandwidth_multipliers"]
+    assert multipliers == [0.5, 1.0, 2.0]
+    assert all(isinstance(m, float) for m in multipliers)

@@ -7,13 +7,12 @@ from contradapt.discrepancy import (
     LabeledBatch,
     cdd,
     cdd_grad,
-    cdd_value_and_grad,
     mmd_squared,
 )
 from contradapt.gradcheck import central_difference, relative_gradient_error
 from contradapt.kernels import uniform_spec
 
-from oracles import naive_cdd, naive_mmd
+from oracles import naive_cdd, naive_mmd, naive_pair
 
 
 def _batch(rng, n_classes=2, per_side=(2, 3), dims=(3,), spread=1.0):
@@ -74,13 +73,13 @@ def test_class_pair_discrepancy_example():
         class_set=(0, 1),
     )
     # one sample per side: e1 = e2 = 1 and e3 = exp(-1/2), so the (0, 1) pair
-    # is 2 - 2 exp(-1/2); no other pair has samples on both sides
+    # is 2 - 2 exp(-1/2); no other pair has samples on both sides, so it is
+    # the whole inter term and there is no intra term
     value = cdd(spec, batch, skip_missing_pairs=True)
     pair = 2.0 - 2.0 * math.exp(-0.5)
-    assert value.per_pair.keys() == {(0, 1)}
-    assert value.per_pair[(0, 1)] == pytest.approx(pair, abs=1e-15)
     assert value.intra == 0.0
     assert value.inter == pytest.approx(pair, abs=1e-15)
+    assert value.total == -value.inter
     with pytest.raises(ValueError, match="empty class pair"):
         cdd(spec, batch)
 
@@ -93,18 +92,11 @@ def test_cdd_matches_naive_oracle():
         batch = _batch(rng, n_classes, per_side=(rng.integers(1, 4), rng.integers(1, 4)), dims=dims)
         specs = [uniform_spec(np.exp(rng.uniform(-1, 1, size=2))) for _ in dims]
         value = cdd(specs, batch)
-        expected = naive_cdd(
-            specs,
-            batch.source_features,
-            batch.target_features,
-            batch.source_labels.tolist(),
-            batch.target_labels.tolist(),
-            batch.class_set,
-        )
-        assert value.total == pytest.approx(expected, abs=1e-12)
-        assert value.total == pytest.approx(value.intra - value.inter, abs=1e-12)
-        for intra, inter, total in value.per_layer:
-            assert total == pytest.approx(intra - inter, abs=1e-12)
+        args = (specs, batch.source_features, batch.target_features,
+                batch.source_labels.tolist(), batch.target_labels.tolist(), batch.class_set)
+        assert value.total == pytest.approx(naive_cdd(*args), abs=1e-12)
+        assert value.intra == pytest.approx(naive_cdd(*args, intra_only=True), abs=1e-12)
+        assert value.total == value.intra - value.inter
 
 
 def test_cdd_single_class_has_no_inter_term():
@@ -112,8 +104,12 @@ def test_cdd_single_class_has_no_inter_term():
     batch = _batch(rng, n_classes=1, per_side=(3, 2))
     value = cdd(uniform_spec((1.0,)), batch)
     assert value.inter == 0.0
-    assert value.total == pytest.approx(value.intra, abs=1e-15)
-    assert set(value.per_pair) == {(0, 0)}
+    assert value.total == value.intra
+    assert value.intra == pytest.approx(
+        naive_pair(uniform_spec((1.0,)), batch.source_features[0], batch.target_features[0],
+                   batch.source_labels.tolist(), batch.target_labels.tolist(), 0, 0),
+        abs=1e-12,
+    )
 
 
 def test_cdd_aligned_classes_negative_total():
@@ -126,15 +122,6 @@ def test_cdd_aligned_classes_negative_total():
     assert value.intra == pytest.approx(0.0, abs=1e-12)
     assert value.inter > 0.5
     assert value.total < 0.0
-
-
-def test_cdd_per_pair_bounds():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        batch = _batch(rng, n_classes=3, per_side=(2, 2), dims=(2, 3), spread=3.0)
-        value = cdd([uniform_spec((1.0,)), uniform_spec((0.5, 2.0))], batch)
-        for v in value.per_pair.values():
-            assert -2.0 <= v <= 2.0
 
 
 def test_cdd_permutation_invariance():
@@ -196,8 +183,13 @@ def test_cdd_skip_missing_pairs_renormalizes():
     expected = naive_cdd([spec], [src], [tgt], ys.tolist(), yt.tolist(), (0, 1, 2),
                          skip_missing=True)
     assert value.total == pytest.approx(expected, abs=1e-12)
-    assert (1, 1) not in value.per_pair and (2, 2) not in value.per_pair
-    assert (0, 2) in value.per_pair and (1, 2) in value.per_pair
+    # (1, 1) and (2, 2) have one side empty and drop out; (0, 0) is the one
+    # intra pair and (0, 2), (1, 0), (1, 2) the inter pairs
+    def pair(c1, c2):
+        return naive_pair(spec, src, tgt, ys.tolist(), yt.tolist(), c1, c2)
+
+    assert value.intra == pytest.approx(pair(0, 0), abs=1e-12)
+    assert value.inter == pytest.approx((pair(0, 2) + pair(1, 0) + pair(1, 2)) / 3.0, abs=1e-12)
 
 
 def test_cdd_labels_must_lie_in_class_set():
@@ -291,10 +283,10 @@ def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
         specs = [uniform_spec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 6))))
                  for _ in dims]
         kw = dict(intra_only=intra_only, skip_missing_pairs=skip_missing)
-        total, grads = cdd_value_and_grad(specs, batch, **kw)
-        assert total == cdd(specs, batch, **kw).total
-        assert len(grads) == len(dims)
-        for (gs, gt), (rs, rt) in zip(grads, cdd_grad(specs, batch, **kw)):
+        both = cdd(specs, batch, with_grad=True, **kw)
+        value_only = cdd(specs, batch, **kw)
+        assert both.total == value_only.total
+        assert both.intra == value_only.intra and both.inter == value_only.inter
+        assert value_only.grads is None and len(both.grads) == len(dims)
+        for (gs, gt), (rs, rt) in zip(both.grads, cdd_grad(specs, batch, **kw)):
             assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
-        value_only, none = cdd_value_and_grad(specs, batch, with_grad=False, **kw)
-        assert value_only == total and none is None
