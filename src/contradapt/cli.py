@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on runtime failure, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -15,7 +16,6 @@ import sys
 
 from . import __version__
 from .data import BlobShift, gen_blobs, gen_moons, load_csv, save_csv
-from .gradcheck import run_all
 from .model import load_checkpoint, save_checkpoint
 from .trainer import METHODS, TrainConfig, evaluate, train
 
@@ -95,8 +95,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     target_path = os.path.join(args.out, "target.csv")
     unlabeled_path = os.path.join(args.out, "target_unlabeled.csv")
     save_csv(source, source_path)
-    save_csv(target, target_path)
-    save_csv(target.without_labels(), unlabeled_path)
+    save_csv(target, target_path, unlabeled_path)
     _write_json(
         os.path.join(args.out, "gen_manifest.json"),
         {
@@ -147,21 +146,12 @@ def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     checkpoint_path = os.path.join(args.out, "checkpoint.txt")
     summary_path = os.path.join(args.out, "summary.json")
     manifest_path = os.path.join(args.out, "manifest.json")
-    with open(metrics_path, "w", encoding="ascii") as fh:
-        def _emit(m):
-            fh.write(json.dumps(m.record()) + "\n")
-            fh.flush()
-            log.info(
-                "loop %d: ce=%.4f acc=%s kept=%d/%d classes",
-                m.loop, m.ce_loss,
-                "n/a" if m.target_accuracy is None else f"{m.target_accuracy:.4f}",
-                m.n_kept, m.n_kept_classes,
-            )
-
-        result = train(config, source, target, metrics_writer=_emit)
-    save_checkpoint(result.params, checkpoint_path)
-    _write_json(summary_path, result.summary)
-    manifest = {
+    failure_path = os.path.join(args.out, "failure.json")
+    for stale in (checkpoint_path, summary_path, failure_path):  # an earlier run's outcome
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(stale)
+    # written first, so a run that fails can be replayed from it
+    _write_json(manifest_path, {
         "tool": "contradapt",
         "version": __version__,
         "command": "train",
@@ -177,8 +167,28 @@ def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "summary": summary_path,
             "checkpoint": checkpoint_path,
         },
-    }
-    _write_json(manifest_path, manifest)
+    })
+    loops_completed = 0
+    with open(metrics_path, "w", encoding="ascii") as fh:
+        def _emit(m):
+            nonlocal loops_completed
+            fh.write(json.dumps(m.record()) + "\n")
+            fh.flush()
+            loops_completed += 1
+            log.info(
+                "loop %d: ce=%.4f acc=%s kept=%d/%d classes",
+                m.loop, m.ce_loss,
+                "n/a" if m.target_accuracy is None else f"{m.target_accuracy:.4f}",
+                m.n_kept, m.n_kept_classes,
+            )
+
+        try:
+            result = train(config, source, target, metrics_writer=_emit)
+        except ValueError as exc:  # e.g. divergence; main reports it and exits 1
+            _write_json(failure_path, {"error": str(exc), "loops_completed": loops_completed})
+            raise
+    save_checkpoint(result.params, checkpoint_path)
+    _write_json(summary_path, result.summary)
     acc = result.summary["final_target_accuracy"]
     print(
         f"method={config.method} seed={config.seed} loops={result.summary['loops_run']} "
@@ -206,6 +216,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    from .gradcheck import run_all  # here, so gen, train and eval do not load it
+
     reports = run_all(seed=args.seed, rtol=args.rtol, step=args.step)
     ok = True
     for r in reports:

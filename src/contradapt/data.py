@@ -8,6 +8,7 @@ pair where the target cloud is a rotated resample.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
@@ -17,7 +18,7 @@ import numpy as np
 
 DOMAINS = ("source", "target")
 UNLABELED = -1
-# rows formatted per ``save_csv`` write: bounds its memory, not its output
+# rows converted to Python floats per ``save_csv`` chunk: bounds its memory, not its output
 _WRITE_CHUNK_ROWS = 4096
 
 
@@ -208,20 +209,36 @@ def _header(dim: int) -> list[str]:
     return [f"feature_{i}" for i in range(dim)] + ["label", "domain"]
 
 
-def save_csv(dataset: Dataset, path) -> None:
+def save_csv(dataset: Dataset, path, unlabeled_path=None) -> None:
     """Write ``feature_0..feature_{d-1},label,domain`` rows; floats keep 17
     significant digits (``%.17g``) so a round trip is exact.
 
-    Rows are formatted from one template, ``_WRITE_CHUNK_ROWS`` at a time, so
-    the whole file's text is never held in memory.
+    With ``unlabeled_path``, the same rows with label -1 also go to that file:
+    its bytes are those ``save_csv(dataset.without_labels(), unlabeled_path)``
+    writes, but each row's feature text is formatted once for both files.
+
+    Features become Python floats ``_WRITE_CHUNK_ROWS`` rows at a time and
+    each row is written as soon as it is formatted, so neither file's text is
+    ever held in memory.
     """
-    row = ",".join(["%.17g"] * dataset.dim) + ",%d," + dataset.domain + "\n"
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(_header(dataset.dim)) + "\n")
+    features = ",".join(["%.17g"] * dataset.dim)
+    row = "%s,%d," + dataset.domain + "\n"
+    unlabeled_end = f",{UNLABELED},{dataset.domain}\n"
+    header = ",".join(_header(dataset.dim)) + "\n"
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(path, "w", newline="", encoding="ascii"))
+        twin = None if unlabeled_path is None else stack.enter_context(
+            open(unlabeled_path, "w", newline="", encoding="ascii"))
+        fh.write(header)
+        if twin is not None:
+            twin.write(header)
         for lo in range(0, dataset.n, _WRITE_CHUNK_ROWS):
             hi = lo + _WRITE_CHUNK_ROWS
-            fh.writelines(row % (*feats, label) for feats, label in
-                          zip(dataset.features[lo:hi].tolist(), dataset.labels[lo:hi].tolist()))
+            texts = map(features.__mod__, map(tuple, dataset.features[lo:hi].tolist()))
+            for text, label in zip(texts, dataset.labels[lo:hi].tolist()):
+                fh.write(row % (text, label))
+                if twin is not None:
+                    twin.write(text + unlabeled_end)
 
 
 def load_csv(path) -> Dataset:

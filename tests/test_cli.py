@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +205,30 @@ def test_manifest_rerun_is_byte_identical(tmp_path, method):
     assert (first / "checkpoint.txt").read_bytes() == (second / "checkpoint.txt").read_bytes()
 
 
+@pytest.mark.parametrize("eta0, step, loops", [("1e300", 1, 0), ("1e10", 3, 1)])
+def test_diverged_train_leaves_a_replayable_record(tmp_path, capsys, eta0, step, loops):
+    data = _gen_small(tmp_path)
+    first = tmp_path / "first"
+    assert _run_train(data, first) == 0  # its checkpoint and summary must not outlive it
+    assert _run_train(data, first, ["--eta0", eta0]) == 1
+    message = f"divergence: non-finite gradient at step {step}"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert sorted(p.name for p in first.iterdir()) == ["failure.json", "manifest.json",
+                                                       "metrics.jsonl"]
+    failure = json.loads((first / "failure.json").read_text())
+    assert failure == {"error": message, "loops_completed": loops}
+    assert len((first / "metrics.jsonl").read_text().splitlines()) == loops
+    assert json.loads((first / "manifest.json").read_text())["config"]["eta0"] == float(eta0)
+    second = tmp_path / "second"
+    assert main(["train", "--config", str(first / "manifest.json"), "--out", str(second)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    for name in ("failure.json", "metrics.jsonl"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert not (second / "checkpoint.txt").exists()
+    assert _run_train(data, second) == 0
+    assert not (second / "failure.json").exists()
+
+
 def test_eval_reports_accuracy(tmp_path, capsys):
     data = _gen_small(tmp_path)
     out = tmp_path / "run"
@@ -242,6 +268,12 @@ def test_gradcheck_seed_reproducibility(capsys):
     first = capsys.readouterr().out
     assert main(["gradcheck", "--seed", "9"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_import_leaves_gradcheck_unloaded():
+    code = ("import sys, contradapt.cli; "
+            "sys.exit('contradapt.gradcheck' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_hidden_sizes_parsing(tmp_path, capsys):

@@ -236,6 +236,11 @@ def test_save_csv_bytes_equal_csv_writer(tmp_path, domain, rows):
     save_csv(dataset, tmp_path / "fast.csv")
     csv_writer_save(dataset, tmp_path / "ref.csv")
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # one call writing the unlabeled twin from the same formatted rows
+    save_csv(dataset, tmp_path / "both.csv", tmp_path / "twin.csv")
+    csv_writer_save(dataset.without_labels(), tmp_path / "twin_ref.csv")
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "twin.csv").read_bytes() == (tmp_path / "twin_ref.csv").read_bytes()
 
 
 _HEAD = "feature_0,feature_1,label,domain\n"
