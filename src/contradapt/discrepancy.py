@@ -101,15 +101,6 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
     return float(k_ss.mean() + k_tt.mean() - 2.0 * k_st.mean())
 
 
-def _specs_for(batch: LabeledBatch, specs) -> list[KernelSpec]:
-    if isinstance(specs, KernelSpec):
-        return [specs] * len(batch.source_features)
-    out = list(specs)
-    if len(out) != len(batch.source_features):
-        raise ValueError("one KernelSpec required per layer")
-    return out
-
-
 def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
     """Class masks, safe class counts, and the intra/inter pair masks."""
     batch.validate(require_both_domains=not skip_missing_pairs)
@@ -161,20 +152,21 @@ def cdd(
     value and the gradient.
 
     Args:
-        specs: one KernelSpec per layer, or a single spec reused everywhere.
+        specs: a sequence of one KernelSpec per layer.
         batch: features and labels; with ``skip_missing_pairs`` the batch may
             cover a class on one side only and the affected pairs drop out of
             renormalized averages, otherwise one-sided classes raise.
         intra_only: drop the cross-class term (``inter`` reported as 0).
     """
-    layer_specs = _specs_for(batch, specs)
+    if isinstance(specs, KernelSpec) or len(specs) != len(batch.source_features):
+        raise ValueError("one KernelSpec required per layer")
     setup = _pair_setup(batch, skip_missing_pairs, intra_only)
     ms, mt, ns_safe, nt_safe, intra_mask, inter_mask = setup
     n_intra = int(intra_mask.sum())
     n_inter = int(inter_mask.sum())
     u_ss, u_tt, u_st = _upstreams(*setup) if with_grad else (None, None, None)
     intras, inters, grads = [], [], []
-    for spec, s, t in zip(layer_specs, batch.source_features, batch.target_features):
+    for spec, s, t in zip(specs, batch.source_features, batch.target_features):
         k_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
         k_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
         k_st, g_st = kernel_value_and_grad(spec, s, t, u_st)

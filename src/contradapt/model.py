@@ -1,8 +1,8 @@
 """A small ReLU MLP with explicit forward/backward passes.
 
 Layout: input -> ReLU hidden stack -> linear bottleneck -> linear logits.
-The bottleneck and logits activations are the two tapped layers where
-external discrepancy gradients can be injected during the backward pass.
+``backward`` takes loss gradients at the logits and at the bottleneck, so
+any loss on those activations (cross-entropy, a discrepancy) enters there.
 Everything is plain float64 numpy; no autodiff framework is involved.
 """
 
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TAPPED_LAYERS = ("bottleneck", "logits")
 _LOG_EPS = 1e-12
 CHECKPOINT_HEADER = "contradapt-checkpoint v1"
 EMBED_BLOCK_ROWS = 2048
@@ -237,56 +236,48 @@ def cross_entropy_grad(probs, labels) -> np.ndarray:
     return g / p.shape[0]
 
 
+def _checked_grad(grad, like: np.ndarray, name: str) -> np.ndarray:
+    g = np.asarray(grad, dtype=float)
+    if g.shape != like.shape:
+        raise ValueError(f"{name} shape mismatch")
+    return g
+
+
 def backward(
     params: ModelParams,
     stack: FeatureStack,
     logits_grad: np.ndarray | None = None,
-    tap_grads: dict[str, np.ndarray] | None = None,
-    beta: float = 1.0,
+    bottleneck_grad: np.ndarray | None = None,
     out: ModelParams | None = None,
 ) -> ModelParams:
     """Reverse-mode gradients for one cached forward pass.
 
-    ``logits_grad`` is the classification-loss gradient at the logits;
-    ``tap_grads`` maps tapped layer names to externally computed feature
-    gradients which enter scaled by ``beta``.  Either may be omitted.
-    The parameter gradients are added into ``out`` (a fresh zero container
-    when omitted), which is returned.
+    ``logits_grad`` and ``bottleneck_grad`` are loss gradients at the logits
+    and at the bottleneck features; either may be omitted.  The parameter
+    gradients are added into ``out`` (a fresh zero container when omitted),
+    which is returned.
     """
-    taps = tap_grads or {}
-    unknown = set(taps) - set(TAPPED_LAYERS)
-    if unknown:
-        raise ValueError(f"unknown tap layers {sorted(unknown)}")
-    d_logits = np.zeros_like(stack.logits)
+    d = np.zeros_like(stack.logits)  # so a -0.0 gradient still enters as +0.0
     if logits_grad is not None:
-        lg = np.asarray(logits_grad, dtype=float)
-        if lg.shape != stack.logits.shape:
-            raise ValueError("logits_grad shape mismatch")
-        d_logits += lg
-    if "logits" in taps:
-        tg = np.asarray(taps["logits"], dtype=float)
-        if tg.shape != stack.logits.shape:
-            raise ValueError("logits tap gradient shape mismatch")
-        d_logits += beta * tg
+        d += _checked_grad(logits_grad, stack.logits, "logits_grad")
+    if bottleneck_grad is not None:
+        bottleneck_grad = _checked_grad(bottleneck_grad, stack.bottleneck, "bottleneck_grad")
     grads = zeros_like_params(params) if out is None else out
-    grads.logits_weight += stack.bottleneck.T @ d_logits
-    grads.logits_bias += d_logits.sum(axis=0)
-    d_bottleneck = d_logits @ params.logits_weight.T
-    if "bottleneck" in taps:
-        tg = np.asarray(taps["bottleneck"], dtype=float)
-        if tg.shape != stack.bottleneck.shape:
-            raise ValueError("bottleneck tap gradient shape mismatch")
-        d_bottleneck = d_bottleneck + beta * tg
-    last_hidden = stack.hidden[-1] if stack.hidden else stack.inputs
-    grads.bottleneck_weight += last_hidden.T @ d_bottleneck
-    grads.bottleneck_bias += d_bottleneck.sum(axis=0)
-    d_h = d_bottleneck @ params.bottleneck_weight.T
-    for i in range(len(params.hidden_weights) - 1, -1, -1):
-        d_pre = d_h * (stack.hidden[i] > 0.0)
-        below = stack.hidden[i - 1] if i > 0 else stack.inputs
-        grads.hidden_weights[i] += below.T @ d_pre
-        grads.hidden_biases[i] += d_pre.sum(axis=0)
-        d_h = d_pre @ params.hidden_weights[i].T
+    weights = [*params.hidden_weights, params.bottleneck_weight, params.logits_weight]
+    weight_grads = [*grads.hidden_weights, grads.bottleneck_weight, grads.logits_weight]
+    bias_grads = [*grads.hidden_biases, grads.bottleneck_bias, grads.logits_bias]
+    layer_inputs = [stack.inputs, *stack.hidden, stack.bottleneck]
+    top = len(weights) - 1
+    for i in range(top, -1, -1):  # d is the loss gradient at layer i's output
+        weight_grads[i] += layer_inputs[i].T @ d
+        bias_grads[i] += d.sum(axis=0)
+        if i == 0:
+            break  # the input gradient is never needed
+        d = d @ weights[i].T
+        if i < top:
+            d *= layer_inputs[i] > 0.0  # ReLU of the hidden layer below
+        elif bottleneck_grad is not None:
+            d += bottleneck_grad
     return grads
 
 

@@ -8,7 +8,9 @@ parameter updates.  Per step the composite gradient is
 
     grad = grad(source CE) + beta * grad(contrastive discrepancy)
 
-with the discrepancy gradients injected at the bottleneck and logits taps.
+with the discrepancy gradients injected at the tapped layers.  This module
+alone picks those layers (``TAPPED_LAYERS``): the discrepancy is measured on
+their activations and ``backward`` takes their gradients.
 The seven methods are ablations of this one pipeline.  Each is one
 ``_Method`` record in ``_TABLE`` (label source, CDD on/off, ``intra_only``,
 class-agnostic sampling, target cross-entropy), and the record is the only
@@ -30,7 +32,6 @@ from .data import Dataset
 from .discrepancy import LabeledBatch, cdd
 from .kernels import median_kernel_spec
 from .model import (
-    TAPPED_LAYERS,
     LrSchedule,
     ModelParams,
     backward,
@@ -46,6 +47,10 @@ from .model import (
 from .sampling import BatchPlan, CasBatch, class_aware_batch, draw, uniform_source_batch
 
 log = logging.getLogger(__name__)
+
+# The network activations the discrepancy is measured on, in the order of a
+# LabeledBatch's layers; ``backward`` takes each one's gradient as ``<name>_grad``.
+TAPPED_LAYERS = ("bottleneck", "logits")
 
 
 @dataclass(frozen=True)
@@ -260,19 +265,13 @@ def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
 
 def _build_probe(rng: np.random.Generator, source: Dataset, target: Dataset,
                  n_classes: int, per_class: int) -> CasBatch | None:
-    if not target.labeled:
+    """Every class's class-aware draw, or None unless the target labels cover every class."""
+    if not target.labeled or np.bincount(target.labels, minlength=n_classes).min() == 0:
         return None
-    src_parts, tgt_parts = [], []
-    for c in range(n_classes):
-        src_pool = np.nonzero(source.labels == c)[0]
-        tgt_pool = np.nonzero(target.labels == c)[0]
-        if src_pool.size == 0 or tgt_pool.size == 0:
-            return None
-        src_parts.append(draw(rng, src_pool, per_class))
-        tgt_parts.append(draw(rng, tgt_pool, per_class))
-    labels = np.repeat(np.arange(n_classes), per_class)
-    return CasBatch(tuple(range(n_classes)), np.concatenate(src_parts),
-                    np.concatenate(tgt_parts), labels, labels.copy())
+    plan = BatchPlan(cas_rng=rng, ce_rng=rng, classes_per_batch=n_classes,  # ce lane unused
+                     per_class_source=per_class, per_class_target=per_class)
+    return class_aware_batch(plan, source.labels, np.arange(target.n), target.labels,
+                             range(n_classes))
 
 
 def tapped_batch(stack_s, stack_t, source_labels, target_labels, class_set) -> LabeledBatch:
@@ -294,8 +293,8 @@ def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack
     value = cdd(specs, batch, intra_only, skip_missing_pairs, with_grad=beta > 0.0)
     if beta > 0.0:
         for side, stack in enumerate((stack_s, stack_t)):
-            taps = {name: g[side] for name, g in zip(TAPPED_LAYERS, value.grads)}
-            backward(params, stack, tap_grads=taps, beta=beta, out=grads)
+            taps = {f"{name}_grad": beta * g[side] for name, g in zip(TAPPED_LAYERS, value.grads)}
+            backward(params, stack, out=grads, **taps)
     return value.total
 
 

@@ -4,9 +4,11 @@ Everything here is written as a literal transcription of the definitions --
 scalar loops, no vectorization -- so agreement with the library is evidence,
 not tautology.  The ``loop_kernel_*`` references are the exception: they
 loop over mixture components on whole matrices, the arithmetic the batched
-library kernels must reproduce bit for bit.  The CSV writer and reader are
-the ``csv``-module implementations the faster library I/O must match byte
-for byte and value for value, error messages included.
+library kernels must reproduce bit for bit.  So is ``layerwise_backward``,
+the backward pass written out one layer at a time, which the library's
+single loop must match bit for bit.  The CSV writer and reader are the
+``csv``-module implementations the faster library I/O must match byte for
+byte and value for value, error messages included.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from contradapt.data import Dataset
 from contradapt.kernels import squared_distances
+from contradapt.model import zeros_like_params
 
 
 def naive_kernel(spec, a, b) -> float:
@@ -149,6 +152,38 @@ def add_params_(dst, src):
     """In-place elementwise accumulation of one gradient container into another."""
     dst.flat += src.flat
     return dst
+
+
+def layerwise_backward(params, stack, logits_grad=None, tap_grads=None, beta=1.0, out=None):
+    """Backward pass written out layer by layer, with name-keyed tap gradients.
+
+    ``tap_grads`` maps "bottleneck" and "logits" to feature gradients that
+    enter scaled by ``beta``.  This is the arithmetic ``model.backward`` must
+    reproduce bit for bit when it is handed ``beta`` times each tap gradient.
+    """
+    taps = tap_grads or {}
+    d_logits = np.zeros_like(stack.logits)
+    if logits_grad is not None:
+        d_logits += np.asarray(logits_grad, dtype=float)
+    if "logits" in taps:
+        d_logits += beta * np.asarray(taps["logits"], dtype=float)
+    grads = zeros_like_params(params) if out is None else out
+    grads.logits_weight += stack.bottleneck.T @ d_logits
+    grads.logits_bias += d_logits.sum(axis=0)
+    d_bottleneck = d_logits @ params.logits_weight.T
+    if "bottleneck" in taps:
+        d_bottleneck = d_bottleneck + beta * np.asarray(taps["bottleneck"], dtype=float)
+    last_hidden = stack.hidden[-1] if stack.hidden else stack.inputs
+    grads.bottleneck_weight += last_hidden.T @ d_bottleneck
+    grads.bottleneck_bias += d_bottleneck.sum(axis=0)
+    d_h = d_bottleneck @ params.bottleneck_weight.T
+    for i in range(len(params.hidden_weights) - 1, -1, -1):
+        d_pre = d_h * (stack.hidden[i] > 0.0)
+        below = stack.hidden[i - 1] if i > 0 else stack.inputs
+        grads.hidden_weights[i] += below.T @ d_pre
+        grads.hidden_biases[i] += d_pre.sum(axis=0)
+        d_h = d_pre @ params.hidden_weights[i].T
+    return grads
 
 
 def _csv_header(dim: int) -> list[str]:

@@ -75,13 +75,13 @@ def test_class_pair_discrepancy_example():
     # one sample per side: e1 = e2 = 1 and e3 = exp(-1/2), so the (0, 1) pair
     # is 2 - 2 exp(-1/2); no other pair has samples on both sides, so it is
     # the whole inter term and there is no intra term
-    value = cdd(spec, batch, skip_missing_pairs=True)
+    value = cdd([spec], batch, skip_missing_pairs=True)
     pair = 2.0 - 2.0 * math.exp(-0.5)
     assert value.intra == 0.0
     assert value.inter == pytest.approx(pair, abs=1e-15)
     assert value.total == -value.inter
     with pytest.raises(ValueError, match="empty class pair"):
-        cdd(spec, batch)
+        cdd([spec], batch)
 
 
 def test_cdd_matches_naive_oracle():
@@ -102,7 +102,7 @@ def test_cdd_matches_naive_oracle():
 def test_cdd_single_class_has_no_inter_term():
     rng = np.random.default_rng(4)
     batch = _batch(rng, n_classes=1, per_side=(3, 2))
-    value = cdd(uniform_spec((1.0,)), batch)
+    value = cdd([uniform_spec((1.0,))], batch)
     assert value.inter == 0.0
     assert value.total == value.intra
     assert value.intra == pytest.approx(
@@ -118,7 +118,7 @@ def test_cdd_aligned_classes_negative_total():
     src = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
     labels = np.array([0, 0, 1, 1])
     batch = LabeledBatch([src], [src.copy()], labels, labels.copy(), (0, 1))
-    value = cdd(uniform_spec((1.0,)), batch)
+    value = cdd([uniform_spec((1.0,))], batch)
     assert value.intra == pytest.approx(0.0, abs=1e-12)
     assert value.inter > 0.5
     assert value.total < 0.0
@@ -127,7 +127,7 @@ def test_cdd_aligned_classes_negative_total():
 def test_cdd_permutation_invariance():
     rng = np.random.default_rng(6)
     batch = _batch(rng, n_classes=2, per_side=(3, 4), dims=(3,))
-    value = cdd(uniform_spec((1.5,)), batch).total
+    value = cdd([uniform_spec((1.5,))], batch).total
     perm_s = rng.permutation(batch.source_labels.size)
     perm_t = rng.permutation(batch.target_labels.size)
     shuffled = LabeledBatch(
@@ -137,7 +137,7 @@ def test_cdd_permutation_invariance():
         batch.target_labels[perm_t],
         batch.class_set,
     )
-    assert cdd(uniform_spec((1.5,)), shuffled).total == pytest.approx(value, abs=1e-12)
+    assert cdd([uniform_spec((1.5,))], shuffled).total == pytest.approx(value, abs=1e-12)
 
 
 def test_cdd_multilayer_sums_layers():
@@ -146,16 +146,25 @@ def test_cdd_multilayer_sums_layers():
     specs = [uniform_spec((1.0,)), uniform_spec((2.0,))]
     combined = cdd(specs, batch).total
     first = cdd(
-        specs[0],
+        specs[:1],
         LabeledBatch([batch.source_features[0]], [batch.target_features[0]],
                      batch.source_labels, batch.target_labels, batch.class_set),
     ).total
     second = cdd(
-        specs[1],
+        specs[1:],
         LabeledBatch([batch.source_features[1]], [batch.target_features[1]],
                      batch.source_labels, batch.target_labels, batch.class_set),
     ).total
     assert combined == pytest.approx(first + second, abs=1e-12)
+
+
+def test_cdd_needs_one_spec_per_layer():
+    rng = np.random.default_rng(7)
+    batch = _batch(rng, n_classes=2, per_side=(2, 2), dims=(2, 4))
+    spec = uniform_spec((1.0,))
+    for specs in (spec, [spec], [spec] * 3):
+        with pytest.raises(ValueError, match="one KernelSpec required per layer"):
+            cdd(specs, batch)
 
 
 def test_cdd_strict_mode_requires_two_sided_classes():
@@ -168,7 +177,7 @@ def test_cdd_strict_mode_requires_two_sided_classes():
         (0, 1),
     )
     with pytest.raises(ValueError, match="empty class pair"):
-        cdd(uniform_spec((1.0,)), batch)
+        cdd([uniform_spec((1.0,))], batch)
 
 
 def test_cdd_skip_missing_pairs_renormalizes():
@@ -179,7 +188,7 @@ def test_cdd_skip_missing_pairs_renormalizes():
     yt = np.array([0, 0, 2])  # class 1 missing on target, class 2 on source
     batch = LabeledBatch([src], [tgt], ys, yt, (0, 1, 2))
     spec = uniform_spec((1.0,))
-    value = cdd(spec, batch, skip_missing_pairs=True)
+    value = cdd([spec], batch, skip_missing_pairs=True)
     expected = naive_cdd([spec], [src], [tgt], ys.tolist(), yt.tolist(), (0, 1, 2),
                          skip_missing=True)
     assert value.total == pytest.approx(expected, abs=1e-12)
@@ -202,7 +211,7 @@ def test_cdd_labels_must_lie_in_class_set():
         (0,),
     )
     with pytest.raises(ValueError, match="outside class_set"):
-        cdd(uniform_spec((1.0,)), batch)
+        cdd([uniform_spec((1.0,))], batch)
 
 
 def test_cdd_grad_matches_finite_differences():
@@ -212,17 +221,17 @@ def test_cdd_grad_matches_finite_differences():
         batch = _batch(rng, n_classes, per_side=(2, 2), dims=(2,))
         spec = uniform_spec(np.exp(rng.uniform(-0.5, 1.0, size=2)))
         intra_only = trial % 3 == 0
-        (gs, gt), = cdd_grad(spec, batch, intra_only=intra_only)
+        (gs, gt), = cdd_grad([spec], batch, intra_only=intra_only)
 
         def at_source(m):
             b = LabeledBatch([m], batch.target_features, batch.source_labels,
                              batch.target_labels, batch.class_set)
-            return cdd(spec, b, intra_only=intra_only).total
+            return cdd([spec], b, intra_only=intra_only).total
 
         def at_target(m):
             b = LabeledBatch(batch.source_features, [m], batch.source_labels,
                              batch.target_labels, batch.class_set)
-            return cdd(spec, b, intra_only=intra_only).total
+            return cdd([spec], b, intra_only=intra_only).total
 
         fd_s = central_difference(at_source, batch.source_features[0])
         fd_t = central_difference(at_target, batch.target_features[0])
@@ -238,15 +247,15 @@ def test_cdd_grad_skip_missing_matches_finite_differences():
     yt = np.array([0, 2, 2])
     batch = LabeledBatch([src], [tgt], ys, yt, (0, 1, 2))
     spec = uniform_spec((0.8, 1.6))
-    (gs, gt), = cdd_grad(spec, batch, skip_missing_pairs=True)
+    (gs, gt), = cdd_grad([spec], batch, skip_missing_pairs=True)
 
     def at_source(m):
         b = LabeledBatch([m], [tgt], ys, yt, (0, 1, 2))
-        return cdd(spec, b, skip_missing_pairs=True).total
+        return cdd([spec], b, skip_missing_pairs=True).total
 
     def at_target(m):
         b = LabeledBatch([src], [m], ys, yt, (0, 1, 2))
-        return cdd(spec, b, skip_missing_pairs=True).total
+        return cdd([spec], b, skip_missing_pairs=True).total
 
     assert relative_gradient_error(gs, central_difference(at_source, src)) < 1e-4
     assert relative_gradient_error(gt, central_difference(at_target, tgt)) < 1e-4

@@ -24,7 +24,7 @@ from contradapt.model import (
     zeros_like_params,
 )
 
-from oracles import add_params_
+from oracles import add_params_, layerwise_backward
 
 
 def _tiny_params(rng=None, in_dim=3, hidden=(5,), bottleneck=4, n_classes=3):
@@ -185,9 +185,8 @@ def test_backward_matches_finite_differences_with_taps():
     grads = backward(
         params,
         stack,
-        logits_grad=cross_entropy_grad(stack.probs, y),
-        tap_grads={"bottleneck": tap_b, "logits": tap_l},
-        beta=beta,
+        logits_grad=cross_entropy_grad(stack.probs, y) + beta * tap_l,
+        bottleneck_grad=beta * tap_b,
     )
     fd = central_difference(loss_at, params_to_vector(params), step=1e-6)
     assert relative_gradient_error(params_to_vector(grads), fd) < 1e-5
@@ -196,12 +195,41 @@ def test_backward_matches_finite_differences_with_taps():
 def test_backward_tap_validation():
     params = _tiny_params()
     stack = forward(params, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="unknown tap"):
-        backward(params, stack, tap_grads={"hidden": np.zeros((2, 5))})
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="logits_grad shape mismatch"):
         backward(params, stack, logits_grad=np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="bottleneck tap"):
-        backward(params, stack, tap_grads={"bottleneck": np.zeros((2, 7))})
+    with pytest.raises(ValueError, match="bottleneck_grad shape mismatch"):
+        backward(params, stack, bottleneck_grad=np.zeros((2, 7)))
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
+def test_backward_equals_layerwise_reference_bit_for_bit(hidden):
+    rng = np.random.default_rng(11)
+    params = _tiny_params(rng, hidden=hidden)
+    stack = forward(params, rng.normal(size=(6, 3)))
+    ce = cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6))
+    tap_b, tap_l = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+    ce[0, 0], tap_l[1, 1], tap_b[2, 2] = -0.0, -0.0, -0.0  # signed zeros must come out alike
+    beta = 0.3
+    cases = [  # (new keyword arguments, reference keyword arguments)
+        (dict(logits_grad=ce), dict(logits_grad=ce)),
+        (dict(bottleneck_grad=tap_b), dict(tap_grads={"bottleneck": tap_b})),
+        (dict(logits_grad=beta * tap_l), dict(tap_grads={"logits": tap_l}, beta=beta)),
+        (dict(bottleneck_grad=beta * tap_b), dict(tap_grads={"bottleneck": tap_b}, beta=beta)),
+        (dict(logits_grad=beta * tap_l, bottleneck_grad=beta * tap_b),
+         dict(tap_grads={"bottleneck": tap_b, "logits": tap_l}, beta=beta)),
+        (dict(logits_grad=ce, bottleneck_grad=tap_b),
+         dict(logits_grad=ce, tap_grads={"bottleneck": tap_b})),
+        (dict(logits_grad=ce + beta * tap_l, bottleneck_grad=beta * tap_b),
+         dict(logits_grad=ce, tap_grads={"bottleneck": tap_b, "logits": tap_l}, beta=beta)),
+    ]
+    start = rng.normal(size=params.flat.size)
+    for new, ref in cases:
+        assert np.array_equal(backward(params, stack, **new).flat,
+                              layerwise_backward(params, stack, **ref).flat)
+        dst, ref_dst = vector_to_params(start, params), vector_to_params(start, params)
+        assert backward(params, stack, out=dst, **new) is dst
+        layerwise_backward(params, stack, out=ref_dst, **ref)
+        assert np.array_equal(dst.flat, ref_dst.flat)
 
 
 def test_schedule_endpoint_values():
@@ -309,9 +337,9 @@ def test_backward_into_out_equals_add_params_bit_for_bit():
     params = _tiny_params(rng, hidden=(5, 4))
     x = rng.normal(size=(6, 3))
     stack = forward(params, x)
-    kwargs = dict(logits_grad=cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6)),
-                  tap_grads={"bottleneck": rng.normal(size=(6, 4)),
-                             "logits": rng.normal(size=(6, 3))}, beta=0.3)
+    ce = cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6))
+    tap_b, tap_l, beta = rng.normal(size=(6, 4)), rng.normal(size=(6, 3)), 0.3
+    kwargs = dict(logits_grad=ce + beta * tap_l, bottleneck_grad=beta * tap_b)
     dst = vector_to_params(rng.normal(size=params.flat.size), params)
     ref = dst.copy()
     add_params_(ref, backward(params, stack, **kwargs))

@@ -18,17 +18,19 @@ from contradapt.model import (
     params_to_vector,
     zeros_like_params,
 )
+from contradapt.sampling import draw
 from contradapt.trainer import (
     METHODS,
     LoopMetrics,
     TrainConfig,
+    _build_probe,
     evaluate,
     predict,
     train,
 )
 
 from oracles import add_params_
-from test_acceptance import MOONS_A3_CFG, MOONS_KW, MOONS_SEED
+from test_acceptance import BLOBS_KW, BLOBS_SEED, MOONS_A3_CFG, MOONS_KW, MOONS_SEED
 
 
 def _blobs(seed=0, n_classes=3, per_class=20, dim=2, **shift_kwargs):
@@ -341,10 +343,43 @@ def test_gradcheck_composite_matches_step_composition_bit_for_bit():
                                    logits_grad=cross_entropy_grad(stack_ce.probs, ce_y)))
     layer_grads = cdd_grad(specs, batch)
     for side, stack in enumerate((stack_s, stack_t)):
-        taps = {"bottleneck": layer_grads[0][side], "logits": layer_grads[1][side]}
-        add_params_(expected, backward(params, stack, tap_grads=taps, beta=beta))
+        add_params_(expected, backward(params, stack, logits_grad=beta * layer_grads[1][side],
+                                       bottleneck_grad=beta * layer_grads[0][side]))
     assert loss == cross_entropy(stack_ce.probs, ce_y) + beta * cdd(specs, batch).total
     assert np.array_equal(grads.flat, expected.flat)
+
+
+def _probe_reference(rng, source, target, n_classes, per_class):
+    """The probe drawn class by class: source then target rows of each class."""
+    src_parts, tgt_parts = [], []
+    for c in range(n_classes):
+        src_parts.append(draw(rng, np.nonzero(source.labels == c)[0], per_class))
+        tgt_parts.append(draw(rng, np.nonzero(target.labels == c)[0], per_class))
+    return np.concatenate(src_parts), np.concatenate(tgt_parts)
+
+
+@pytest.mark.parametrize("instance", ["moons", "blobs"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_probe_draws_every_class_in_order(instance, seed):
+    if instance == "moons":
+        src, tgt = gen_moons(seed=MOONS_SEED, **MOONS_KW)
+    else:
+        src, tgt = gen_blobs(seed=BLOBS_SEED, **BLOBS_KW)
+    n_classes, per_class = src.n_classes(), 8
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    probe = _build_probe(rng, src, tgt, n_classes, per_class)
+    ref_src, ref_tgt = _probe_reference(ref_rng, src, tgt, n_classes, per_class)
+    labels = np.repeat(np.arange(n_classes), per_class)
+    assert probe.classes == tuple(range(n_classes))
+    assert np.array_equal(probe.source_indices, ref_src)
+    assert np.array_equal(probe.target_indices, ref_tgt)
+    assert np.array_equal(probe.source_labels, labels)
+    assert np.array_equal(probe.target_labels, labels)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert _build_probe(rng, src, tgt.without_labels(), n_classes, per_class) is None
+    keep = tgt.labels != n_classes - 1
+    holey = Dataset(tgt.features[keep], tgt.labels[keep], "target")
+    assert _build_probe(rng, src, holey, n_classes, per_class) is None
 
 
 def test_intra_only_survives_collapsing_features():
