@@ -16,6 +16,16 @@ in a batch:
 
 so same-class alignment is pulled down while cross-class separation is
 pushed up.  Multi-layer inputs sum the per-layer totals.
+
+Every term is a class-count-normalised mean of kernel values, so a layer's
+total is linear in its three kernel blocks:
+
+    total = <U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>
+
+where each upstream matrix ``U`` holds the weight every row pair carries in
+the total.  The same ``U`` are the upstream gradients of the blocks, so
+``cdd`` reads the value off the pass that forms the gradient.  Plain MMD is
+the case of one class present on both sides.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_matrix, kernel_value_and_grad
+from .kernels import KernelSpec, kernel_value_and_grad
 
 
 @dataclass
@@ -78,31 +88,30 @@ class LabeledBatch:
 class CddValue:
     """Contrastive discrepancy of a batch, summed over layers.
 
-    ``total == intra - inter``.  ``grads`` holds one ``(grad_source,
+    ``total`` is read off the gradient pass as ``<U, K>`` summed over each
+    layer's three kernel blocks.  ``grads`` holds one ``(grad_source,
     grad_target)`` pair of ``total`` per layer, shaped like that layer's
     features, or None when gradients were not requested.
     """
 
     total: float
-    intra: float
-    inter: float
     grads: list[tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def mmd_squared(spec: KernelSpec, source, target) -> float:
-    """Biased empirical squared MMD between two row sets (diagonals included)."""
+    """Biased empirical squared MMD between two row sets (diagonals included):
+    the discrepancy of a batch with one class on both sides."""
     s = np.asarray(source, dtype=float)
     t = np.asarray(target, dtype=float)
     if s.size == 0 or t.size == 0:
         raise ValueError("empty domain in MMD")
-    k_ss = kernel_matrix(spec, s, s)
-    k_tt = kernel_matrix(spec, t, t)
-    k_st = kernel_matrix(spec, s, t)
-    return float(k_ss.mean() + k_tt.mean() - 2.0 * k_st.mean())
+    batch = LabeledBatch([s], [t], np.zeros(s.shape[0]), np.zeros(t.shape[0]), (0,))
+    return cdd([spec], batch).total
 
 
-def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
-    """Class masks, safe class counts, and the intra/inter pair masks."""
+def _upstreams(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
+    """Upstream matrices ``U`` of the ss, tt and st kernel blocks: a layer's
+    discrepancy is ``<U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>``."""
     batch.validate(require_both_domains=not skip_missing_pairs)
     classes = np.asarray(batch.class_set, dtype=int)
     ms = (batch.source_labels[:, None] == classes[None, :]).astype(float)
@@ -113,18 +122,10 @@ def _pair_setup(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool)
     eye = np.eye(len(classes), dtype=bool)
     intra_mask = estimable & eye
     inter_mask = estimable & ~eye
-    if intra_only:
-        inter_mask = np.zeros_like(inter_mask)
+    n_intra, n_inter = int(intra_mask.sum()), 0 if intra_only else int(inter_mask.sum())
     ns_safe = np.where(ns > 0, ns, 1.0)
     nt_safe = np.where(nt > 0, nt, 1.0)
-    return ms, mt, ns_safe, nt_safe, intra_mask, inter_mask
-
-
-def _upstreams(ms, mt, ns_safe, nt_safe, intra_mask, inter_mask):
-    """Upstream matrices of the ss, tt and st kernel blocks in the total."""
-    n_intra = int(intra_mask.sum())
-    n_inter = int(inter_mask.sum())
-    # Weight of each ordered pair inside the total.
+    # Weight of each estimable ordered class pair inside the total.
     w = np.zeros(intra_mask.shape)
     if n_intra:
         w[intra_mask] = 1.0 / n_intra
@@ -148,40 +149,29 @@ def cdd(
     """Contrastive discrepancy of a batch, summed over layers, and with
     ``with_grad`` its exact gradients w.r.t. every layer's features.
 
-    Each kernel block of each layer is evaluated once and serves both the
-    value and the gradient.
+    Each kernel block of each layer is evaluated once, by
+    ``kernel_value_and_grad`` against its upstream matrix, and serves both
+    the value and the gradient.
 
     Args:
         specs: a sequence of one KernelSpec per layer.
         batch: features and labels; with ``skip_missing_pairs`` the batch may
             cover a class on one side only and the affected pairs drop out of
             renormalized averages, otherwise one-sided classes raise.
-        intra_only: drop the cross-class term (``inter`` reported as 0).
+        intra_only: drop the cross-class term.
     """
     if isinstance(specs, KernelSpec) or len(specs) != len(batch.source_features):
         raise ValueError("one KernelSpec required per layer")
-    setup = _pair_setup(batch, skip_missing_pairs, intra_only)
-    ms, mt, ns_safe, nt_safe, intra_mask, inter_mask = setup
-    n_intra = int(intra_mask.sum())
-    n_inter = int(inter_mask.sum())
-    u_ss, u_tt, u_st = _upstreams(*setup) if with_grad else (None, None, None)
-    intras, inters, grads = [], [], []
+    u_ss, u_tt, u_st = _upstreams(batch, skip_missing_pairs, intra_only)
+    total, grads = 0.0, []
     for spec, s, t in zip(specs, batch.source_features, batch.target_features):
-        k_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
-        k_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
-        k_st, g_st = kernel_value_and_grad(spec, s, t, u_st)
-        # Per-class kernel means: e1, e2 vectors and the e3 matrix, zero where undefined.
-        e1 = np.einsum("ic,ij,jc->c", ms, k_ss, ms) / ns_safe**2
-        e2 = np.einsum("ic,ij,jc->c", mt, k_tt, mt) / nt_safe**2
-        e3 = (ms.T @ k_st @ mt) / np.outer(ns_safe, nt_safe)
-        d = e1[:, None] + e2[None, :] - 2.0 * e3
-        intras.append(float(d[intra_mask].sum() / n_intra) if n_intra else 0.0)
-        inters.append(float(d[inter_mask].sum() / n_inter) if n_inter else 0.0)
+        v_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss, with_grad)
+        v_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt, with_grad)
+        v_st, g_st = kernel_value_and_grad(spec, s, t, u_st, with_grad)
+        total += v_ss + v_tt + v_st
         if with_grad:
             grads.append((g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]))
-    intra, inter = sum(intras), sum(inters)
-    return CddValue(total=intra - inter, intra=intra, inter=inter,
-                    grads=grads if with_grad else None)
+    return CddValue(total=total, grads=grads if with_grad else None)
 
 
 def cdd_grad(

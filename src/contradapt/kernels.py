@@ -120,35 +120,39 @@ def _check_pair(features_a, features_b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream=None):
-    """Mixture kernel matrix and, given ``upstream``, the gradients of
-    ``sum(upstream * K)`` w.r.t. both inputs, from one evaluation.
+def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream,
+                          with_grad: bool = True):
+    """``sum(upstream * K)`` for the mixture kernel matrix ``K`` and, with
+    ``with_grad``, its gradients w.r.t. both inputs, from one evaluation.
 
     All M components are stacked as ``E[m] = exp(-d2 / (2 s2_m))`` of shape
     ``(M, n_a, n_b)``.  With ``S = upstream * (w / s2) * E``, component m
-    contributes ``S_m @ b - rowsum(S_m) * a`` to ``grad_a``.  Components are
-    reduced along the leading axis in order, so results equal a loop over
-    components bit for bit.  (Exception: NumPy sums pairwise when a result
-    has a single element and there are 8 or more components.)
+    contributes ``S_m @ b - rowsum(S_m) * a`` to ``grad_a``, and the value is
+    ``sum_m s2_m * sum(rowsum(S_m))``, read off the same row sums; without
+    ``with_grad`` only the two matmuls are skipped, so the value is the same
+    bit for bit.  Gradient components are reduced along the leading axis in
+    order, so they equal a loop over components bit for bit.  (Exception:
+    NumPy sums pairwise when a result has a single element and there are 8
+    or more components.)
 
     Returns:
-        ``(K, grads)``: the ``(n_a, n_b)`` kernel matrix, and ``(grad_a, grad_b)``
-        shaped like the inputs, or None without ``upstream``.
+        ``(value, grads)``: the float ``sum(upstream * K)``, and ``(grad_a,
+        grad_b)`` shaped like the inputs, or None without ``with_grad``.
     """
     a, b = _check_pair(features_a, features_b)
+    up = np.asarray(upstream, dtype=float)
+    if up.shape != (a.shape[0], b.shape[0]):
+        raise ValueError(f"upstream shape {up.shape} does not match {(a.shape[0], b.shape[0])}")
     w = np.asarray(spec.weights)[:, None, None]
     s2 = np.asarray(spec.bandwidths)[:, None, None]
-    e = np.exp(squared_distances(a, b) / (-2.0 * s2))
-    k = (w * e).sum(axis=0)
-    if upstream is None:
-        return k, None
-    up = np.asarray(upstream, dtype=float)
-    if up.shape != k.shape:
-        raise ValueError(f"upstream shape {up.shape} does not match {k.shape}")
-    s = up * ((w / s2) * e)
-    grad_a = (s @ b - s.sum(axis=2)[..., None] * a).sum(axis=0)
+    s = up * ((w / s2) * np.exp(squared_distances(a, b) / (-2.0 * s2)))
+    row_sums = s.sum(axis=2)
+    value = float(s2[:, 0, 0] @ row_sums.sum(axis=1))
+    if not with_grad:
+        return value, None
+    grad_a = (s @ b - row_sums[..., None] * a).sum(axis=0)
     grad_b = (s.transpose(0, 2, 1) @ a - s.sum(axis=1)[..., None] * b).sum(axis=0)
-    return k, (grad_a, grad_b)
+    return value, (grad_a, grad_b)
 
 
 def kernel_matrix(spec: KernelSpec, features_a, features_b) -> np.ndarray:
@@ -156,4 +160,7 @@ def kernel_matrix(spec: KernelSpec, features_a, features_b) -> np.ndarray:
 
     Returns an ``(n_a, n_b)`` matrix; entries lie in ``(0, 1]``.
     """
-    return kernel_value_and_grad(spec, features_a, features_b)[0]
+    a, b = _check_pair(features_a, features_b)
+    w = np.asarray(spec.weights)[:, None, None]
+    s2 = np.asarray(spec.bandwidths)[:, None, None]
+    return (w * np.exp(squared_distances(a, b) / (-2.0 * s2))).sum(axis=0)

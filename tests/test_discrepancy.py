@@ -77,9 +77,8 @@ def test_class_pair_discrepancy_example():
     # the whole inter term and there is no intra term
     value = cdd([spec], batch, skip_missing_pairs=True)
     pair = 2.0 - 2.0 * math.exp(-0.5)
-    assert value.intra == 0.0
-    assert value.inter == pytest.approx(pair, abs=1e-15)
-    assert value.total == -value.inter
+    assert cdd([spec], batch, intra_only=True, skip_missing_pairs=True).total == 0.0
+    assert value.total == pytest.approx(-pair, abs=1e-15)
     with pytest.raises(ValueError, match="empty class pair"):
         cdd([spec], batch)
 
@@ -95,17 +94,42 @@ def test_cdd_matches_naive_oracle():
         args = (specs, batch.source_features, batch.target_features,
                 batch.source_labels.tolist(), batch.target_labels.tolist(), batch.class_set)
         assert value.total == pytest.approx(naive_cdd(*args), abs=1e-12)
-        assert value.intra == pytest.approx(naive_cdd(*args, intra_only=True), abs=1e-12)
-        assert value.total == value.intra - value.inter
+        assert cdd(specs, batch, intra_only=True).total == pytest.approx(
+            naive_cdd(*args, intra_only=True), abs=1e-12)
+
+
+@pytest.mark.parametrize("intra_only", [False, True])
+@pytest.mark.parametrize("skip_missing", [False, True])
+def test_cdd_total_matches_naive_oracle_in_every_mode(intra_only, skip_missing):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        n_classes = int(rng.integers(2, 5))
+        ys = rng.integers(0, n_classes, size=rng.integers(1, 8))
+        yt = rng.integers(0, n_classes, size=rng.integers(1, 8))
+        if skip_missing:  # class 0 on the source side only, the last class on the target side only
+            ys = np.concatenate([ys[ys != n_classes - 1], [0]])
+            yt = np.concatenate([yt[yt != 0], [n_classes - 1]])
+        else:  # strict mode needs every class on both sides
+            ys = np.concatenate([ys, np.arange(n_classes)])
+            yt = np.concatenate([yt, np.arange(n_classes)])
+        dims = [int(d) for d in rng.integers(1, 5, size=rng.integers(1, 4))]
+        src = [rng.normal(size=(ys.size, d)) for d in dims]
+        tgt = [rng.normal(size=(yt.size, d)) for d in dims]
+        specs = [uniform_spec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 4))))
+                 for _ in dims]
+        classes = tuple(range(n_classes))
+        value = cdd(specs, LabeledBatch(src, tgt, ys, yt, classes), intra_only, skip_missing)
+        want = naive_cdd(specs, src, tgt, ys.tolist(), yt.tolist(), classes,
+                         intra_only=intra_only, skip_missing=skip_missing)
+        assert value.total == pytest.approx(want, abs=1e-12)
 
 
 def test_cdd_single_class_has_no_inter_term():
     rng = np.random.default_rng(4)
     batch = _batch(rng, n_classes=1, per_side=(3, 2))
     value = cdd([uniform_spec((1.0,))], batch)
-    assert value.inter == 0.0
-    assert value.total == value.intra
-    assert value.intra == pytest.approx(
+    assert value.total == cdd([uniform_spec((1.0,))], batch, intra_only=True).total
+    assert value.total == pytest.approx(
         naive_pair(uniform_spec((1.0,)), batch.source_features[0], batch.target_features[0],
                    batch.source_labels.tolist(), batch.target_labels.tolist(), 0, 0),
         abs=1e-12,
@@ -119,8 +143,9 @@ def test_cdd_aligned_classes_negative_total():
     labels = np.array([0, 0, 1, 1])
     batch = LabeledBatch([src], [src.copy()], labels, labels.copy(), (0, 1))
     value = cdd([uniform_spec((1.0,))], batch)
-    assert value.intra == pytest.approx(0.0, abs=1e-12)
-    assert value.inter > 0.5
+    intra = cdd([uniform_spec((1.0,))], batch, intra_only=True).total
+    assert intra == pytest.approx(0.0, abs=1e-12)
+    assert intra - value.total > 0.5  # the inter term
     assert value.total < 0.0
 
 
@@ -197,8 +222,10 @@ def test_cdd_skip_missing_pairs_renormalizes():
     def pair(c1, c2):
         return naive_pair(spec, src, tgt, ys.tolist(), yt.tolist(), c1, c2)
 
-    assert value.intra == pytest.approx(pair(0, 0), abs=1e-12)
-    assert value.inter == pytest.approx((pair(0, 2) + pair(1, 0) + pair(1, 2)) / 3.0, abs=1e-12)
+    intra = cdd([spec], batch, intra_only=True, skip_missing_pairs=True).total
+    assert intra == pytest.approx(pair(0, 0), abs=1e-12)
+    assert intra - value.total == pytest.approx(
+        (pair(0, 2) + pair(1, 0) + pair(1, 2)) / 3.0, abs=1e-12)
 
 
 def test_cdd_labels_must_lie_in_class_set():
@@ -295,7 +322,9 @@ def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
         both = cdd(specs, batch, with_grad=True, **kw)
         value_only = cdd(specs, batch, **kw)
         assert both.total == value_only.total
-        assert both.intra == value_only.intra and both.inter == value_only.inter
+        intra_kw = dict(kw, intra_only=True)
+        assert (cdd(specs, batch, with_grad=True, **intra_kw).total
+                == cdd(specs, batch, **intra_kw).total)
         assert value_only.grads is None and len(both.grads) == len(dims)
         for (gs, gt), (rs, rt) in zip(both.grads, cdd_grad(specs, batch, **kw)):
             assert np.array_equal(gs, rs) and np.array_equal(gt, rt)

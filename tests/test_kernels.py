@@ -154,6 +154,7 @@ def test_kernel_wrappers_match_component_loop_bit_for_bit():
         k = kernel_matrix(spec, a, b)
         assert np.array_equal(k, loop_kernel_matrix(spec, a, b))
         ref_a, ref_b = loop_kernel_matrix_grad(spec, a, b, up)
-        both, grads = kernel_value_and_grad(spec, a, b, up)
-        assert np.array_equal(both, k)
+        value, grads = kernel_value_and_grad(spec, a, b, up)
+        assert value == pytest.approx(float((up * k).sum()), rel=1e-12)
+        assert kernel_value_and_grad(spec, a, b, up, with_grad=False) == (value, None)
         assert np.array_equal(grads[0], ref_a) and np.array_equal(grads[1], ref_b)
