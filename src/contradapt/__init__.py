@@ -46,10 +46,10 @@ from .model import (
     cross_entropy_grad,
     forward,
     init_params,
-    init_velocity,
     load_checkpoint,
     save_checkpoint,
     sgd_step,
+    zeros_like_params,
 )
 from .sampling import BatchPlan, CasBatch, class_aware_batch, uniform_source_batch
 from .trainer import (
@@ -95,7 +95,6 @@ __all__ = [
     "gen_blobs",
     "gen_moons",
     "init_params",
-    "init_velocity",
     "kernel_matrix",
     "load_checkpoint",
     "load_csv",
@@ -112,5 +111,6 @@ __all__ = [
     "train",
     "uniform_source_batch",
     "uniform_spec",
+    "zeros_like_params",
     "__version__",
 ]

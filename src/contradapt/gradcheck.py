@@ -14,7 +14,7 @@ import numpy as np
 
 from .discrepancy import LabeledBatch, cdd
 from .kernels import KernelSpec, kernel_matrix, kernel_value_and_grad, uniform_spec
-from .model import forward, init_params, params_to_vector, vector_to_params, zeros_like_params
+from .model import ModelParams, forward, init_params, zeros_like_params
 from .trainer import add_cdd_grads, add_ce_grads, tapped_batch
 
 DEFAULT_STEP = 1e-5
@@ -181,11 +181,11 @@ def check_composite_gradients(
         _, grads = composite_loss_and_grads(params, specs, beta, *loss_args)
 
         def loss_at(vec):
-            p = vector_to_params(vec, params)
+            p = ModelParams.on_buffer(vec, params)
             return composite_loss_and_grads(p, specs, beta, *loss_args)[0]
 
-        fd = central_difference(loss_at, params_to_vector(params), step)
-        worst = max(worst, relative_gradient_error(params_to_vector(grads), fd))
+        fd = central_difference(loss_at, params.flat, step)
+        worst = max(worst, relative_gradient_error(grads.flat, fd))
     return ComponentReport("composite_loss_grad", n_instances, worst, rtol)
 
 

@@ -1,9 +1,11 @@
 """A small ReLU MLP with explicit forward/backward passes.
 
-Layout: input -> ReLU hidden stack -> linear bottleneck -> linear logits.
-``backward`` takes loss gradients at the logits and at the bottleneck, so
-any loss on those activations (cross-entropy, a discrepancy) enters there.
-Everything is plain float64 numpy; no autodiff framework is involved.
+The network is one ordered list of affine layers: ReLU hidden layers, then a
+linear bottleneck, then linear logits.  Init, forward, backward, the SGD
+update and checkpoints all walk that one list.  ``backward`` takes loss
+gradients at the logits and at the bottleneck, so any loss on those
+activations (cross-entropy, a discrepancy) enters there.  Everything is
+plain float64 numpy; no autodiff framework is involved.
 """
 
 from __future__ import annotations
@@ -19,17 +21,19 @@ EMBED_BLOCK_ROWS = 2048
 
 
 class ModelParams:
-    """Weights and biases; also reused as the container for gradients/velocity.
+    """The network's affine layers in order; also the container for gradients/velocity.
 
-    Every array is a view into one contiguous float64 vector ``flat`` (in
-    ``arrays()`` order), so accumulation and updates run on that vector.
+    ``weights[i]`` (fan-in x fan-out) and ``biases[i]`` are layer ``i``: the
+    ReLU hidden layers, then the linear bottleneck (``weights[-2]``), then the
+    linear logits (``weights[-1]``).  Every array is a view into one
+    contiguous float64 vector ``flat``, laid out layer by layer as weight then
+    bias, so accumulation and updates run on that vector.
     """
 
-    def __init__(self, hidden_weights, hidden_biases, bottleneck_weight, bottleneck_bias,
-                 logits_weight, logits_bias) -> None:
-        order = [a for pair in zip(hidden_weights, hidden_biases) for a in pair]
-        order += [bottleneck_weight, bottleneck_bias, logits_weight, logits_bias]
-        order = [np.asarray(a, dtype=float) for a in order]
+    def __init__(self, weights, biases) -> None:
+        if len(weights) < 2 or len(weights) != len(biases):
+            raise ValueError("need one bias per weight and at least two layers")
+        order = [np.asarray(a, dtype=float) for pair in zip(weights, biases) for a in pair]
         self._bind(np.concatenate([a.ravel() for a in order]), [a.shape for a in order])
 
     @classmethod
@@ -43,29 +47,20 @@ class ModelParams:
 
     def _bind(self, flat: np.ndarray, shapes) -> None:
         self.flat, self._shapes = flat, shapes
-        views, offset = [], 0  # in arrays() order
+        views, offset = [], 0
         for shape in shapes:
             size = math.prod(shape)
             views.append(flat[offset : offset + size].reshape(shape))
             offset += size
-        n = len(views) // 2 - 2
-        self.hidden_weights, self.hidden_biases = views[0 : 2 * n : 2], views[1 : 2 * n : 2]
-        (self.bottleneck_weight, self.bottleneck_bias,
-         self.logits_weight, self.logits_bias) = views[2 * n :]
-        self._views = views
-
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed traversal order."""
-        return list(self._views)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def in_dim(self) -> int:
-        first = self.hidden_weights[0] if self.hidden_weights else self.bottleneck_weight
-        return first.shape[0]
+        return self.weights[0].shape[0]
 
     @property
     def n_classes(self) -> int:
-        return self.logits_weight.shape[1]
+        return self.weights[-1].shape[1]
 
     def copy(self) -> "ModelParams":
         return ModelParams.on_buffer(self.flat.copy(), self)
@@ -98,8 +93,8 @@ class LrSchedule:
     logits_lr_mult: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.eta0 <= 0 or self.a <= 0 or self.b <= 0:
-            raise ValueError("eta0, a, b must be positive")
+        if not all(0.0 < v < math.inf for v in (self.eta0, self.a, self.b, self.logits_lr_mult)):
+            raise ValueError("eta0, a, b and logits_lr_mult must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if self.total_steps < 1:
@@ -118,34 +113,24 @@ def init_params(
     bottleneck_dim: int,
     n_classes: int,
 ) -> ModelParams:
-    """Symmetric uniform fan-in init (weights ~ U(+-1/sqrt(fan_in)), zero biases)."""
+    """The layer list ``in_dim -> *hidden_sizes -> bottleneck_dim -> n_classes``, drawn
+    input layer first: weights ~ U(+-1/sqrt(fan_in)) (symmetric fan-in init), zero biases."""
     if in_dim < 1 or bottleneck_dim < 1 or n_classes < 2:
         raise ValueError("need in_dim >= 1, bottleneck_dim >= 1, n_classes >= 2")
     sizes = [int(h) for h in hidden_sizes]
     if any(h < 1 for h in sizes):
         raise ValueError("hidden sizes must be >= 1")
 
-    def _layer(fan_in, fan_out):
+    dims = [in_dim, *sizes, bottleneck_dim, n_classes]
+    weights = []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out)), np.zeros(fan_out)
-
-    hidden_w, hidden_b = [], []
-    width = in_dim
-    for h in sizes:
-        w, b = _layer(width, h)
-        hidden_w.append(w)
-        hidden_b.append(b)
-        width = h
-    bw, bb = _layer(width, bottleneck_dim)
-    lw, lb = _layer(bottleneck_dim, n_classes)
-    return ModelParams(hidden_w, hidden_b, bw, bb, lw, lb)
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+    return ModelParams(weights, [np.zeros(w.shape[1]) for w in weights])
 
 
 def zeros_like_params(params: ModelParams) -> ModelParams:
     return ModelParams.on_buffer(np.zeros_like(params.flat), params)
-
-
-init_velocity = zeros_like_params
 
 
 def _check_inputs(params: ModelParams, inputs) -> np.ndarray:
@@ -165,14 +150,14 @@ def _trunk(params: ModelParams, x: np.ndarray, hidden: list | None = None,
     ``x``; hidden activations are appended to ``hidden`` when it is a list.
     """
     h = x
-    for w, b in zip(params.hidden_weights, params.hidden_biases):
+    for w, b in zip(params.weights[:-2], params.biases[:-2]):
         h = h @ w
         h += b
         np.maximum(h, 0.0, out=h)
         if hidden is not None:
             hidden.append(h)
-    h = np.matmul(h, params.bottleneck_weight, out=out)
-    h += params.bottleneck_bias
+    h = np.matmul(h, params.weights[-2], out=out)
+    h += params.biases[-2]
     return h
 
 
@@ -181,8 +166,8 @@ def forward(params: ModelParams, inputs) -> FeatureStack:
     x = _check_inputs(params, inputs)
     hidden: list[np.ndarray] = []
     bottleneck = _trunk(params, x, hidden)
-    logits = bottleneck @ params.logits_weight
-    logits += params.logits_bias
+    logits = bottleneck @ params.weights[-1]
+    logits += params.biases[-1]
     probs = logits - logits.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
@@ -200,7 +185,7 @@ def embed(params: ModelParams, inputs) -> np.ndarray:
     """
     x = _check_inputs(params, inputs)
     n = x.shape[0]
-    out = np.empty((n, params.bottleneck_weight.shape[1]))
+    out = np.empty((n, params.weights[-2].shape[1]))
     n_blocks = max(-(-n // EMBED_BLOCK_ROWS), 1)
     edges = [n * i // n_blocks for i in range(n_blocks + 1)]
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -263,17 +248,14 @@ def backward(
     if bottleneck_grad is not None:
         bottleneck_grad = _checked_grad(bottleneck_grad, stack.bottleneck, "bottleneck_grad")
     grads = zeros_like_params(params) if out is None else out
-    weights = [*params.hidden_weights, params.bottleneck_weight, params.logits_weight]
-    weight_grads = [*grads.hidden_weights, grads.bottleneck_weight, grads.logits_weight]
-    bias_grads = [*grads.hidden_biases, grads.bottleneck_bias, grads.logits_bias]
     layer_inputs = [stack.inputs, *stack.hidden, stack.bottleneck]
-    top = len(weights) - 1
+    top = len(params.weights) - 1
     for i in range(top, -1, -1):  # d is the loss gradient at layer i's output
-        weight_grads[i] += layer_inputs[i].T @ d
-        bias_grads[i] += d.sum(axis=0)
+        grads.weights[i] += layer_inputs[i].T @ d
+        grads.biases[i] += d.sum(axis=0)
         if i == 0:
             break  # the input gradient is never needed
-        d = d @ weights[i].T
+        d = d @ params.weights[i].T
         if i < top:
             d *= layer_inputs[i] > 0.0  # ReLU of the hidden layer below
         elif bottleneck_grad is not None:
@@ -300,7 +282,7 @@ def sgd_step(
     eta = schedule.eta_at(step / schedule.total_steps)
     velocity.flat *= schedule.momentum
     velocity.flat += grads.flat
-    split = params.flat.size - params.logits_weight.size - params.logits_bias.size
+    split = params.flat.size - params.weights[-1].size - params.biases[-1].size
     params.flat[:split] -= eta * velocity.flat[:split]
     params.flat[split:] -= (eta * schedule.logits_lr_mult) * velocity.flat[split:]
     if not np.isfinite(params.flat).all():
@@ -308,38 +290,27 @@ def sgd_step(
     return eta
 
 
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    return params.flat.copy()
-
-
-def vector_to_params(vec: np.ndarray, template: ModelParams) -> ModelParams:
-    return ModelParams.on_buffer(np.array(vec, dtype=float).ravel(), template)
-
-
-def _named_arrays(params: ModelParams) -> list[tuple[str, np.ndarray]]:
-    names = [f"hidden.{i}.{kind}" for i in range(len(params.hidden_weights))
-             for kind in ("weight", "bias")]
-    names += ["bottleneck.weight", "bottleneck.bias", "logits.weight", "logits.bias"]
-    return list(zip(names, params.arrays()))
+def _layer_names(n_layers: int) -> list[str]:
+    return [f"hidden.{i}" for i in range(n_layers - 2)] + ["bottleneck", "logits"]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Write a flat text checkpoint: name + shape header, then row-major values.
 
-    Floats are rendered with 17 significant digits so reloads are exact.
+    Each layer is a ``<name>.weight`` block and a one-row ``<name>.bias``
+    block.  Floats are rendered with 17 significant digits so reloads are exact.
     """
     lines = [CHECKPOINT_HEADER]
-    for name, arr in _named_arrays(params):
-        mat = arr.reshape(1, -1) if arr.ndim == 1 else arr
-        lines.append(f"{name} {mat.shape[0]} {mat.shape[1]}")
-        for row in mat:
-            lines.append(" ".join(f"{v:.17g}" for v in row))
+    for name, w, b in zip(_layer_names(len(params.weights)), params.weights, params.biases):
+        for kind, mat in (("weight", w), ("bias", b.reshape(1, -1))):
+            lines.append(f"{name}.{kind} {mat.shape[0]} {mat.shape[1]}")
+            lines.extend(" ".join(f"{v:.17g}" for v in row) for row in mat)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Inverse of save_checkpoint; validates the layer inventory."""
+    """Inverse of save_checkpoint; validates the layer inventory and shapes."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
@@ -363,26 +334,22 @@ def load_checkpoint(path) -> ModelParams:
         entries[name] = mat
         i += 1 + rows
 
-    def _take(name, flat=False):
-        if name not in entries:
-            raise ValueError(f"{path}: missing array {name}")
-        arr = entries.pop(name)
-        return arr[0] if flat else arr
-
-    hidden_w, hidden_b = [], []
-    j = 0
-    while f"hidden.{j}.weight" in entries:
-        hidden_w.append(_take(f"hidden.{j}.weight"))
-        hidden_b.append(_take(f"hidden.{j}.bias", flat=True))
-        j += 1
-    params = ModelParams(
-        hidden_weights=hidden_w,
-        hidden_biases=hidden_b,
-        bottleneck_weight=_take("bottleneck.weight"),
-        bottleneck_bias=_take("bottleneck.bias", flat=True),
-        logits_weight=_take("logits.weight"),
-        logits_bias=_take("logits.bias", flat=True),
-    )
+    n_hidden = 0
+    while f"hidden.{n_hidden}.weight" in entries:
+        n_hidden += 1
+    weights, biases = [], []
+    for layer in _layer_names(n_hidden + 2):
+        w_name, b_name = f"{layer}.weight", f"{layer}.bias"
+        for name in (w_name, b_name):
+            if name not in entries:
+                raise ValueError(f"{path}: missing array {name}")
+        w, b = entries.pop(w_name), entries.pop(b_name)
+        if weights and w.shape[0] != weights[-1].shape[1]:
+            raise ValueError(f"{path}: shape mismatch for {w_name}")
+        if b.shape != (1, w.shape[1]):
+            raise ValueError(f"{path}: shape mismatch for {b_name}")
+        weights.append(w)
+        biases.append(b[0])
     if entries:
         raise ValueError(f"{path}: unexpected arrays {sorted(entries)}")
-    return params
+    return ModelParams(weights, biases)

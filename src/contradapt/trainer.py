@@ -40,7 +40,6 @@ from .model import (
     embed,
     forward,
     init_params,
-    init_velocity,
     sgd_step,
     zeros_like_params,
 )
@@ -125,6 +124,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not _fits(f.type, value):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
+            if f.type == "float" and not -np.inf < value < np.inf:
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.loops < 0 or self.steps_per_loop < 1:
@@ -258,8 +259,8 @@ def evaluate(params: ModelParams, dataset: Dataset) -> EvalResult:
 
 def predict(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Argmax-logit class ids, from the cache-free ``embed`` pass (no softmax)."""
-    logits = embed(params, features) @ params.logits_weight
-    logits += params.logits_bias
+    logits = embed(params, features) @ params.weights[-1]
+    logits += params.biases[-1]
     return np.argmax(logits, axis=1)
 
 
@@ -488,7 +489,7 @@ def train(
     )
     state = TrainState(
         params=params,
-        velocity=init_velocity(params),
+        velocity=zeros_like_params(params),
         plan=plan,
         source=source,
         target=target,

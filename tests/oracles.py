@@ -168,21 +168,21 @@ def layerwise_backward(params, stack, logits_grad=None, tap_grads=None, beta=1.0
     if "logits" in taps:
         d_logits += beta * np.asarray(taps["logits"], dtype=float)
     grads = zeros_like_params(params) if out is None else out
-    grads.logits_weight += stack.bottleneck.T @ d_logits
-    grads.logits_bias += d_logits.sum(axis=0)
-    d_bottleneck = d_logits @ params.logits_weight.T
+    grads.weights[-1] += stack.bottleneck.T @ d_logits
+    grads.biases[-1] += d_logits.sum(axis=0)
+    d_bottleneck = d_logits @ params.weights[-1].T
     if "bottleneck" in taps:
         d_bottleneck = d_bottleneck + beta * np.asarray(taps["bottleneck"], dtype=float)
     last_hidden = stack.hidden[-1] if stack.hidden else stack.inputs
-    grads.bottleneck_weight += last_hidden.T @ d_bottleneck
-    grads.bottleneck_bias += d_bottleneck.sum(axis=0)
-    d_h = d_bottleneck @ params.bottleneck_weight.T
-    for i in range(len(params.hidden_weights) - 1, -1, -1):
+    grads.weights[-2] += last_hidden.T @ d_bottleneck
+    grads.biases[-2] += d_bottleneck.sum(axis=0)
+    d_h = d_bottleneck @ params.weights[-2].T
+    for i in range(len(stack.hidden) - 1, -1, -1):
         d_pre = d_h * (stack.hidden[i] > 0.0)
         below = stack.hidden[i - 1] if i > 0 else stack.inputs
-        grads.hidden_weights[i] += below.T @ d_pre
-        grads.hidden_biases[i] += d_pre.sum(axis=0)
-        d_h = d_pre @ params.hidden_weights[i].T
+        grads.weights[i] += below.T @ d_pre
+        grads.biases[i] += d_pre.sum(axis=0)
+        d_h = d_pre @ params.weights[i].T
     return grads
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,12 +16,9 @@ from contradapt.model import (
     embed,
     forward,
     init_params,
-    init_velocity,
     load_checkpoint,
-    params_to_vector,
     save_checkpoint,
     sgd_step,
-    vector_to_params,
     zeros_like_params,
 )
 
@@ -34,45 +32,55 @@ def _tiny_params(rng=None, in_dim=3, hidden=(5,), bottleneck=4, n_classes=3):
 
 def _scalar_params(theta0: float) -> ModelParams:
     """A no-hidden-layer model whose only nonzero block is one weight."""
-    return ModelParams(
-        hidden_weights=[],
-        hidden_biases=[],
-        bottleneck_weight=np.array([[theta0]]),
-        bottleneck_bias=np.zeros(1),
-        logits_weight=np.zeros((1, 2)),
-        logits_bias=np.zeros(2),
-    )
+    return ModelParams([np.array([[theta0]]), np.zeros((1, 2))], [np.zeros(1), np.zeros(2)])
+
+
+def _arrays(params):
+    """Every parameter array in ``flat`` order: each layer's weight, then its bias."""
+    return [a for pair in zip(params.weights, params.biases) for a in pair]
 
 
 def _grad_like(params, bottleneck_w=0.0, logits_w=0.0):
     g = zeros_like_params(params)
-    g.bottleneck_weight[:] = bottleneck_w
-    g.logits_weight[:] = logits_w
+    g.weights[-2][:] = bottleneck_w
+    g.weights[-1][:] = logits_w
     return g
 
 
 def test_init_shapes_and_ranges():
     rng = np.random.default_rng(1)
     params = init_params(rng, 6, (64, 32), 16, 4)
-    assert [w.shape for w in params.hidden_weights] == [(6, 64), (64, 32)]
-    assert params.bottleneck_weight.shape == (32, 16)
-    assert params.logits_weight.shape == (16, 4)
+    assert [w.shape for w in params.weights[:-2]] == [(6, 64), (64, 32)]
+    assert params.weights[-2].shape == (32, 16)
+    assert params.weights[-1].shape == (16, 4)
     assert params.in_dim == 6 and params.n_classes == 4
-    for w in params.hidden_weights + [params.bottleneck_weight, params.logits_weight]:
+    for w in params.weights:
         bound = 1.0 / np.sqrt(w.shape[0])
         assert np.all(np.abs(w) <= bound)
-    for b in params.hidden_biases + [params.bottleneck_bias, params.logits_bias]:
+    for b in params.biases:
         assert np.array_equal(b, np.zeros_like(b))
 
 
 def test_init_determinism_and_validation():
     a = init_params(np.random.default_rng(2), 3, (4,), 2, 2)
     b = init_params(np.random.default_rng(2), 3, (4,), 2, 2)
-    assert all(np.array_equal(x, y) for x, y in zip(a.arrays(), b.arrays()))
+    assert all(np.array_equal(x, y) for x, y in zip(_arrays(a), _arrays(b)))
     with pytest.raises(ValueError, match="n_classes >= 2"):
         init_params(np.random.default_rng(0), 3, (4,), 2, 1)
     with pytest.raises(ValueError, match="hidden sizes"):
         init_params(np.random.default_rng(0), 3, (0,), 2, 2)
+
+
+@pytest.mark.parametrize("seed, shape, digest", [
+    (2, (3, (4,), 2, 2), "2d6971690e510a27f9b9322f3fdc5b3dd028c9e7d9eacf57ac64318122e0d3a0"),
+    (5, (2, (), 3, 3), "1cc513865133c63754ce92f194ef05595ba3d009487b2b99d3335c17b5b91d75"),
+    (9, (6, (64, 32), 16, 4), "d4275b25fe10e87bac6bef7e4caaaabf219f9ec8e79b5d73b9c12c2bc6f8a03e"),
+])
+def test_init_params_bits_are_pinned(seed, shape, digest):
+    """SHA-256 of ``flat`` as drawn by the six-group parameter layout that the
+    layer list replaced: same draw order, same layout, same bits."""
+    params = init_params(np.random.default_rng(seed), *shape)
+    assert hashlib.sha256(params.flat.tobytes()).hexdigest() == digest
 
 
 def test_forward_softmax_properties():
@@ -92,7 +100,7 @@ def test_forward_softmax_properties():
 
 def test_forward_handles_large_logits():
     params = _scalar_params(1.0)
-    params.logits_weight[:] = np.array([[1000.0, -1000.0]])
+    params.weights[-1][:] = np.array([[1000.0, -1000.0]])
     stack = forward(params, [[1.0]])
     assert np.isfinite(stack.probs).all()
     assert stack.probs[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -125,7 +133,7 @@ def test_embed_matches_forward_bottleneck(hidden):
 @pytest.mark.parametrize("hidden", [(5,), ()])
 def test_forward_and_embed_leave_inputs_unchanged(hidden):
     params = _tiny_params(hidden=hidden)
-    params.bottleneck_bias[:] = 1.0  # an in-place bias-add on the inputs would show
+    params.biases[-2][:] = 1.0  # an in-place bias-add on the inputs would show
     x = np.random.default_rng(4).normal(size=(6, 3))
     before = x.copy()
     forward(params, x)
@@ -173,7 +181,7 @@ def test_backward_matches_finite_differences_with_taps():
     beta = 0.37
 
     def loss_at(vec):
-        p = vector_to_params(vec, params)
+        p = ModelParams.on_buffer(vec, params)
         stack = forward(p, x)
         return (
             cross_entropy(stack.probs, y)
@@ -188,8 +196,8 @@ def test_backward_matches_finite_differences_with_taps():
         logits_grad=cross_entropy_grad(stack.probs, y) + beta * tap_l,
         bottleneck_grad=beta * tap_b,
     )
-    fd = central_difference(loss_at, params_to_vector(params), step=1e-6)
-    assert relative_gradient_error(params_to_vector(grads), fd) < 1e-5
+    fd = central_difference(loss_at, params.flat, step=1e-6)
+    assert relative_gradient_error(grads.flat, fd) < 1e-5
 
 
 def test_backward_tap_validation():
@@ -226,7 +234,7 @@ def test_backward_equals_layerwise_reference_bit_for_bit(hidden):
     for new, ref in cases:
         assert np.array_equal(backward(params, stack, **new).flat,
                               layerwise_backward(params, stack, **ref).flat)
-        dst, ref_dst = vector_to_params(start, params), vector_to_params(start, params)
+        dst, ref_dst = (ModelParams.on_buffer(start.copy(), params) for _ in range(2))
         assert backward(params, stack, out=dst, **new) is dst
         layerwise_backward(params, stack, out=ref_dst, **ref)
         assert np.array_equal(dst.flat, ref_dst.flat)
@@ -247,6 +255,9 @@ def test_schedule_strictly_decreasing():
 def test_schedule_validation():
     with pytest.raises(ValueError, match="positive"):
         LrSchedule(eta0=0.0)
+    for mult in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="logits_lr_mult"):
+            LrSchedule(logits_lr_mult=mult)
     with pytest.raises(ValueError, match="momentum"):
         LrSchedule(momentum=1.0)
     with pytest.raises(ValueError, match="total_steps"):
@@ -260,35 +271,35 @@ def test_sgd_momentum_algebra():
     schedule = LrSchedule(eta0=eta0, a=10.0, b=0.75, momentum=mu,
                           total_steps=2)
     params = _scalar_params(1.0)
-    velocity = init_velocity(params)
+    velocity = zeros_like_params(params)
     g1, g2 = 0.5, -0.25
 
     eta_used = sgd_step(params, _grad_like(params, bottleneck_w=g1), velocity, schedule, step=0)
     assert eta_used == pytest.approx(eta0, abs=1e-18)  # p = 0 on the first step
     theta1 = 1.0 - eta0 * g1
-    assert params.bottleneck_weight[0, 0] == pytest.approx(theta1, abs=1e-15)
+    assert params.weights[-2][0, 0] == pytest.approx(theta1, abs=1e-15)
 
     sgd_step(params, _grad_like(params, bottleneck_w=g2), velocity, schedule, step=1)
     eta1 = eta0 / (1.0 + 10.0 * 0.5) ** 0.75
     theta2 = theta1 - eta1 * (mu * g1 + g2)
-    assert params.bottleneck_weight[0, 0] == pytest.approx(theta2, abs=1e-15)
-    assert velocity.bottleneck_weight[0, 0] == pytest.approx(mu * g1 + g2, abs=1e-15)
+    assert params.weights[-2][0, 0] == pytest.approx(theta2, abs=1e-15)
+    assert velocity.weights[-2][0, 0] == pytest.approx(mu * g1 + g2, abs=1e-15)
 
 
 def test_sgd_logits_multiplier():
     schedule = LrSchedule(eta0=0.01, total_steps=10, logits_lr_mult=10.0)
     params = _scalar_params(0.0)
-    velocity = init_velocity(params)
+    velocity = zeros_like_params(params)
     sgd_step(params, _grad_like(params, bottleneck_w=1.0, logits_w=1.0), velocity, schedule, 0)
-    moved_b = -params.bottleneck_weight[0, 0]
-    moved_l = -params.logits_weight[0, 0]
+    moved_b = -params.weights[-2][0, 0]
+    moved_l = -params.weights[-1][0, 0]
     assert moved_l == pytest.approx(10.0 * moved_b, rel=1e-12)
 
 
 def test_sgd_divergence_detection():
     schedule = LrSchedule(eta0=10.0, total_steps=10)
     params = _scalar_params(1.0)
-    velocity = init_velocity(params)
+    velocity = zeros_like_params(params)
     bad = _grad_like(params, bottleneck_w=np.inf)
     with pytest.raises(ValueError, match="divergence: non-finite gradient"):
         sgd_step(params, bad, velocity, schedule, 0)
@@ -302,7 +313,7 @@ def test_sgd_step_bounds():
     schedule = LrSchedule(total_steps=5)
     params = _scalar_params(1.0)
     with pytest.raises(ValueError, match="outside schedule"):
-        sgd_step(params, zeros_like_params(params), init_velocity(params), schedule, 5)
+        sgd_step(params, zeros_like_params(params), zeros_like_params(params), schedule, 5)
 
 
 def test_training_drives_loss_down_on_separable_data():
@@ -313,7 +324,7 @@ def test_training_drives_loss_down_on_separable_data():
     ])
     y = np.repeat([0, 1], 20)
     params = init_params(rng, 2, (8,), 4, 2)
-    velocity = init_velocity(params)
+    velocity = zeros_like_params(params)
     schedule = LrSchedule(eta0=1e-2, total_steps=2000)
     for step in range(2000):
         stack = forward(params, x)
@@ -325,11 +336,18 @@ def test_training_drives_loss_down_on_separable_data():
 
 def test_vector_round_trip():
     params = _tiny_params()
-    vec = params_to_vector(params)
-    back = vector_to_params(vec, params)
-    assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), back.arrays()))
+    vec = params.flat.copy()
+    back = ModelParams.on_buffer(vec, params)
+    assert all(np.array_equal(a, b) for a, b in zip(_arrays(params), _arrays(back)))
     with pytest.raises(ValueError, match="length"):
-        vector_to_params(vec[:-1], params)
+        ModelParams.on_buffer(vec[:-1], params)
+
+
+def test_params_need_one_bias_per_weight_and_two_layers():
+    with pytest.raises(ValueError, match="one bias per weight"):
+        ModelParams([np.zeros((1, 1)), np.zeros((1, 2))], [np.zeros(1)])
+    with pytest.raises(ValueError, match="at least two layers"):
+        ModelParams([np.zeros((1, 2))], [np.zeros(2)])
 
 
 def test_backward_into_out_equals_add_params_bit_for_bit():
@@ -340,7 +358,7 @@ def test_backward_into_out_equals_add_params_bit_for_bit():
     ce = cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6))
     tap_b, tap_l, beta = rng.normal(size=(6, 4)), rng.normal(size=(6, 3)), 0.3
     kwargs = dict(logits_grad=ce + beta * tap_l, bottleneck_grad=beta * tap_b)
-    dst = vector_to_params(rng.normal(size=params.flat.size), params)
+    dst = ModelParams.on_buffer(rng.normal(size=params.flat.size), params)
     ref = dst.copy()
     add_params_(ref, backward(params, stack, **kwargs))
     assert backward(params, stack, out=dst, **kwargs) is dst
@@ -352,19 +370,19 @@ def test_add_params_accumulates():
     total = zeros_like_params(params)
     add_params_(total, params)
     add_params_(total, params)
-    assert np.allclose(params_to_vector(total), 2.0 * params_to_vector(params), atol=1e-15)
+    assert np.allclose(total.flat, 2.0 * params.flat, atol=1e-15)
 
 
 def test_checkpoint_round_trip_is_exact(tmp_path):
     params = _tiny_params(np.random.default_rng(7), in_dim=4, hidden=(6, 5), bottleneck=3)
     # make values ugly on purpose
-    params.bottleneck_weight[0, 0] = 1.0 / 3.0
-    params.logits_bias[1] = -1e-17
+    params.weights[-2][0, 0] = 1.0 / 3.0
+    params.biases[-1][1] = -1e-17
     path = tmp_path / "ckpt.txt"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), loaded.arrays()))
-    assert [w.shape for w in loaded.hidden_weights] == [(4, 6), (6, 5)]
+    assert all(np.array_equal(a, b) for a, b in zip(_arrays(params), _arrays(loaded)))
+    assert [w.shape for w in loaded.weights[:-2]] == [(4, 6), (6, 5)]
     # re-saving the loaded params reproduces the file byte for byte
     path2 = tmp_path / "ckpt2.txt"
     save_checkpoint(loaded, path2)
@@ -384,14 +402,36 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
     missing.write_text(f"{CHECKPOINT_HEADER}\nbottleneck.weight 1 1\n0.5\n")
     with pytest.raises(ValueError, match="missing array"):
         load_checkpoint(missing)
+    # a 1-wide bottleneck over 1-d inputs, then 2 logits; each case edits one block
+    good = {"bottleneck.weight": "1 1\n0.5", "bottleneck.bias": "1 1\n0",
+            "logits.weight": "1 2\n1 -1", "logits.bias": "1 2\n0 0"}
+    cases = [
+        ({"bottleneck.bias": "2 1\n0\n0"}, "shape mismatch for bottleneck.bias"),
+        ({"bottleneck.bias": "1 2\n0 0"}, "shape mismatch for bottleneck.bias"),
+        ({"logits.weight": "3 2\n1 -1\n1 -1\n1 -1"}, "shape mismatch for logits.weight"),
+        ({"logits.weight": "1\n1 -1"}, "malformed header at line 6"),
+        ({"hidden.1.weight": "1 1\n0"}, r"unexpected arrays \['hidden.1.weight'\]"),
+    ]
+    foreign = tmp_path / "foreign.txt"
+
+    def write(blocks):
+        foreign.write_text(CHECKPOINT_HEADER + "\n" + "".join(
+            f"{name} {block}\n" for name, block in blocks.items()))
+
+    write(good)
+    assert load_checkpoint(foreign).n_classes == 2
+    for edits, message in cases:
+        write({**good, **edits})
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(foreign)
 
 
 def _assert_on_flat(params):
     assert params.flat.ndim == 1 and params.flat.dtype == np.float64
     assert params.flat.flags.c_contiguous
-    assert params.flat.size == sum(a.size for a in params.arrays())
-    assert all(np.shares_memory(a, params.flat) for a in params.arrays())
-    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in params.arrays()]))
+    assert params.flat.size == sum(a.size for a in _arrays(params))
+    assert all(np.shares_memory(a, params.flat) for a in _arrays(params))
+    assert np.array_equal(params.flat, np.concatenate([a.ravel() for a in _arrays(params)]))
 
 
 def test_every_container_is_views_of_one_flat_vector(tmp_path):
@@ -400,10 +440,9 @@ def test_every_container_is_views_of_one_flat_vector(tmp_path):
     made = {
         "init": params,
         "zeros": zeros_like_params(params),
-        "velocity": init_velocity(params),
         "copy": params.copy(),
         "load_checkpoint": load_checkpoint(tmp_path / "ckpt.txt"),
-        "vector_to_params": vector_to_params(params_to_vector(params), params),
+        "on_buffer": ModelParams.on_buffer(params.flat.copy(), params),
         "backward": backward(params, forward(params, np.ones((2, 3))),
                              logits_grad=np.ones((2, 3))),
         "constructor": _scalar_params(2.0),
@@ -412,15 +451,15 @@ def test_every_container_is_views_of_one_flat_vector(tmp_path):
         _assert_on_flat(p)
         if p is not params:
             assert not np.shares_memory(p.flat, params.flat), name
-    params.logits_bias[0] = 7.0  # writes through a view land in flat
+    params.biases[-1][0] = 7.0  # writes through a view land in flat
     assert params.flat[-3] == 7.0
 
 
 def _reference_sgd_step(params, grads, velocity, schedule, step):
     """The update written per array: v <- mu v + g; theta <- theta - eta*mult*v."""
     eta = schedule.eta_at(step / schedule.total_steps)
-    mults = [1.0] * (len(params.arrays()) - 2) + [schedule.logits_lr_mult] * 2
-    for theta, g, v, mult in zip(params.arrays(), grads.arrays(), velocity.arrays(), mults):
+    mults = [1.0] * (len(_arrays(params)) - 2) + [schedule.logits_lr_mult] * 2
+    for theta, g, v, mult in zip(_arrays(params), _arrays(grads), _arrays(velocity), mults):
         v *= schedule.momentum
         v += g
         theta -= (eta * mult) * v
@@ -430,10 +469,10 @@ def test_sgd_step_matches_per_array_reference_bit_for_bit():
     rng = np.random.default_rng(8)
     params = _tiny_params(rng, hidden=(6, 5))
     ref = params.copy()
-    velocity, ref_velocity = init_velocity(params), init_velocity(params)
+    velocity, ref_velocity = zeros_like_params(params), zeros_like_params(params)
     schedule = LrSchedule(eta0=0.05, momentum=0.9, total_steps=7, logits_lr_mult=10.0)
     for step in range(7):
-        grads = vector_to_params(rng.normal(size=params.flat.size), params)
+        grads = ModelParams.on_buffer(rng.normal(size=params.flat.size), params)
         sgd_step(params, grads, velocity, schedule, step)
         _reference_sgd_step(ref, grads, ref_velocity, schedule, step)
         assert np.array_equal(params.flat, ref.flat)
@@ -442,12 +481,8 @@ def test_sgd_step_matches_per_array_reference_bit_for_bit():
 
 def test_checkpoint_text_is_unchanged(tmp_path):
     params = ModelParams(
-        hidden_weights=[np.array([[0.1, 1 / 3]])],
-        hidden_biases=[np.array([-1e-17, 2.0])],
-        bottleneck_weight=np.array([[1.0], [2.5]]),
-        bottleneck_bias=np.array([0.0]),
-        logits_weight=np.array([[0.7, -0.7]]),
-        logits_bias=np.array([1e300, -0.0]),
+        weights=[np.array([[0.1, 1 / 3]]), np.array([[1.0], [2.5]]), np.array([[0.7, -0.7]])],
+        biases=[np.array([-1e-17, 2.0]), np.array([0.0]), np.array([1e300, -0.0])],
     )
     save_checkpoint(params, tmp_path / "ckpt.txt")
     assert (tmp_path / "ckpt.txt").read_text() == (

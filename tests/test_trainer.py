@@ -15,7 +15,6 @@ from contradapt.model import (
     cross_entropy_grad,
     forward,
     init_params,
-    params_to_vector,
     zeros_like_params,
 )
 from contradapt.sampling import draw
@@ -106,6 +105,10 @@ def test_config_validation():
     ("d0", "0.05"),
     ("seed", 1.5),
     ("seed", -1),
+    # non-finite floats
+    ("beta", float("nan")),
+    ("beta", float("inf")),
+    ("eta0", float("inf")),
 ])
 def test_config_rejects_bad_field_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
@@ -139,14 +142,7 @@ def test_loop_metrics_record_has_no_wall_time():
 
 
 def test_evaluate_tie_breaks_toward_lowest_class():
-    params = ModelParams(
-        hidden_weights=[],
-        hidden_biases=[],
-        bottleneck_weight=np.zeros((2, 3)),
-        bottleneck_bias=np.zeros(3),
-        logits_weight=np.zeros((3, 2)),
-        logits_bias=np.zeros(2),
-    )
+    params = ModelParams([np.zeros((2, 3)), np.zeros((3, 2))], [np.zeros(3), np.zeros(2)])
     ds = Dataset(np.ones((4, 2)), np.array([0, 0, 1, 1]), "target")
     result = evaluate(params, ds)
     assert result.accuracy == 0.5
@@ -190,7 +186,7 @@ def test_beta_zero_equals_source_only_exactly(method):
     cdd0 = train(_config(method=method, beta=0.0, loops=3), src, tgt)
     plain = train(_config(method="source-only", beta=0.0, loops=3), src, tgt)
     assert cdd0.metrics[-1].cdd_estimate is not None  # the discrepancy path did run
-    assert np.array_equal(params_to_vector(cdd0.params), params_to_vector(plain.params))
+    assert np.array_equal(cdd0.params.flat, plain.params.flat)
     # the diagnostic stream matches too
     assert [m.cdd_g for m in cdd0.metrics] == [m.cdd_g for m in plain.metrics]
 
@@ -201,7 +197,7 @@ def test_target_labels_only_feed_diagnostics():
     with_labels = train(config, src, tgt)
     without = train(config, src, tgt.without_labels())
     assert np.array_equal(
-        params_to_vector(with_labels.params), params_to_vector(without.params)
+        with_labels.params.flat, without.params.flat
     )
     assert with_labels.summary["final_cdd_g"] is not None
     assert without.summary["final_cdd_g"] is None
@@ -214,10 +210,10 @@ def test_training_is_deterministic_per_seed():
     src, tgt = _blobs(seed=3)
     a = train(_config(seed=11), src, tgt)
     b = train(_config(seed=11), src, tgt)
-    assert np.array_equal(params_to_vector(a.params), params_to_vector(b.params))
+    assert np.array_equal(a.params.flat, b.params.flat)
     assert [m.record() for m in a.metrics] == [m.record() for m in b.metrics]
     c = train(_config(seed=12), src, tgt)
-    assert not np.array_equal(params_to_vector(a.params), params_to_vector(c.params))
+    assert not np.array_equal(a.params.flat, c.params.flat)
 
 
 def test_metrics_writer_sees_each_loop():
@@ -295,16 +291,9 @@ def test_warm_start_round_trip():
     src, tgt = _blobs(seed=9)
     first = train(_config(loops=1), src, tgt)
     resumed = train(_config(loops=0), src, tgt, init=first.params)
-    assert np.array_equal(params_to_vector(resumed.params), params_to_vector(first.params))
+    assert np.array_equal(resumed.params.flat, first.params.flat)
     with pytest.raises(ValueError, match="warm-start"):
-        bad = ModelParams(
-            hidden_weights=[],
-            hidden_biases=[],
-            bottleneck_weight=np.zeros((5, 2)),
-            bottleneck_bias=np.zeros(2),
-            logits_weight=np.zeros((2, 3)),
-            logits_bias=np.zeros(3),
-        )
+        bad = ModelParams([np.zeros((5, 2)), np.zeros((2, 3))], [np.zeros(2), np.zeros(3)])
         train(_config(loops=0), src, tgt, init=bad)
 
 
@@ -389,4 +378,4 @@ def test_intra_only_survives_collapsing_features():
     config = TrainConfig(method="intra-only", seed=3000, **MOONS_A3_CFG)
     result = train(config, src, tgt)
     assert result.summary["steps_run"] == config.total_steps
-    assert np.isfinite(params_to_vector(result.params)).all()
+    assert np.isfinite(result.params.flat).all()
