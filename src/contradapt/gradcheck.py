@@ -118,26 +118,18 @@ def check_cdd_gradients(
         specs, batch = _random_batch(rng, n_layers=1 + i % 2)
         intra_only = bool(rng.integers(0, 2)) and i % 3 == 0
         grads = cdd(specs, batch, intra_only=intra_only, with_grad=True).grads
-        for layer, (gs, gt) in enumerate(grads):
-            def loss_s(m, layer=layer):
-                feats = [f if k != layer else m for k, f in enumerate(batch.source_features)]
-                b = LabeledBatch(feats, batch.target_features, batch.source_labels,
-                                 batch.target_labels, batch.class_set)
-                return cdd(specs, b, intra_only=intra_only).total
+        for layer, pair in enumerate(grads):
+            for side, grad in enumerate(pair):  # the source, then the target features
+                def loss(m, layer=layer, side=side):
+                    feats = [list(batch.source_features), list(batch.target_features)]
+                    feats[side][layer] = m
+                    b = LabeledBatch(*feats, batch.source_labels, batch.target_labels,
+                                     batch.class_set)
+                    return cdd(specs, b, intra_only=intra_only).total
 
-            def loss_t(m, layer=layer):
-                feats = [f if k != layer else m for k, f in enumerate(batch.target_features)]
-                b = LabeledBatch(batch.source_features, feats, batch.source_labels,
-                                 batch.target_labels, batch.class_set)
-                return cdd(specs, b, intra_only=intra_only).total
-
-            fd_s = central_difference(loss_s, batch.source_features[layer], step)
-            fd_t = central_difference(loss_t, batch.target_features[layer], step)
-            worst = max(
-                worst,
-                relative_gradient_error(gs, fd_s),
-                relative_gradient_error(gt, fd_t),
-            )
+                at = (batch.source_features, batch.target_features)[side][layer]
+                fd = central_difference(loss, at, step)
+                worst = max(worst, relative_gradient_error(grad, fd))
     return ComponentReport("cdd_grad", n_instances, worst, rtol)
 
 

@@ -64,12 +64,13 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _as_rows(x, width: int | None = None) -> np.ndarray:
+def _as_rows(x, width: int = 0) -> np.ndarray:
+    """``x`` as (n, d) rows; an empty ``x`` that is not 2-d (``[]``) gets ``width`` columns."""
     arr = np.asarray(x, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, width if width is not None else 0)
     if arr.ndim != 2:
-        raise ValueError("features must be a 2-d array of shape (n, d)")
+        if arr.size:
+            raise ValueError("features must be a 2-d array of shape (n, d)")
+        return arr.reshape(0, width)
     return arr
 
 
@@ -83,11 +84,7 @@ def median_heuristic(features_a, features_b) -> float:
     Raises:
         ValueError: if the pooled input holds fewer than two rows.
     """
-    a = _as_rows(features_a)
-    b = _as_rows(features_b, width=a.shape[1] if a.size else None)
-    if a.size == 0 and b.size:
-        a = a.reshape(0, b.shape[1])
-    pooled = np.vstack([a, b]) if (a.size or b.size) else a
+    pooled = np.vstack(_check_pair(features_a, features_b))
     n = pooled.shape[0]
     if n < 2:
         raise ValueError("no samples for bandwidth")
@@ -108,15 +105,12 @@ def median_kernel_spec(
 
 
 def _check_pair(features_a, features_b) -> tuple[np.ndarray, np.ndarray]:
-    a = _as_rows(features_a)
-    b = _as_rows(features_b, width=a.shape[1] if a.size else None)
-    if a.size == 0 or b.size == 0:
-        if a.shape[1:] != b.shape[1:]:
-            b = b.reshape(0, a.shape[1]) if b.size == 0 else b
+    """Both inputs as rows of one width; a width-less ``[]`` takes the other's width."""
+    b = _as_rows(features_b)
+    a = _as_rows(features_a, width=b.shape[1])
+    b = _as_rows(features_b, width=a.shape[1])
     if a.shape[1] != b.shape[1]:
-        raise ValueError(
-            f"feature width mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
+        raise ValueError(f"feature width mismatch: {a.shape[1]} vs {b.shape[1]}")
     return a, b
 
 

@@ -2,10 +2,11 @@
 
 The network is one ordered list of affine layers: ReLU hidden layers, then a
 linear bottleneck, then linear logits.  Init, forward, backward, the SGD
-update and checkpoints all walk that one list.  ``backward`` takes loss
-gradients at the logits and at the bottleneck, so any loss on those
-activations (cross-entropy, a discrepancy) enters there.  Everything is
-plain float64 numpy; no autodiff framework is involved.
+update and checkpoints all walk that one list, and a forward pass caches one
+output per layer.  ``backward`` takes loss gradients keyed by layer index, so
+a loss on any layer's output (cross-entropy at the logits, a discrepancy at a
+tapped layer) enters there.  Everything is plain float64 numpy; no autodiff
+framework is involved.
 """
 
 from __future__ import annotations
@@ -68,12 +69,15 @@ class ModelParams:
 
 @dataclass
 class FeatureStack:
-    """Cached activations of one forward pass."""
+    """Cached activations of one forward pass.
+
+    ``outputs[i]`` is layer ``i``'s output, after the ReLU for hidden layers,
+    so ``outputs[-2]`` is the bottleneck and ``outputs[-1]`` the logits;
+    ``probs`` is the softmax of the logits.
+    """
 
     inputs: np.ndarray
-    hidden: list[np.ndarray]
-    bottleneck: np.ndarray
-    logits: np.ndarray
+    outputs: list[np.ndarray]
     probs: np.ndarray
 
 
@@ -142,36 +146,35 @@ def _check_inputs(params: ModelParams, inputs) -> np.ndarray:
     return x
 
 
-def _trunk(params: ModelParams, x: np.ndarray, hidden: list | None = None,
+def _trunk(params: ModelParams, x: np.ndarray, outputs: list | None = None,
            out: np.ndarray | None = None) -> np.ndarray:
     """Bottleneck features of ``x``, written into ``out`` when given.
 
     Bias-add and ReLU run in place on each layer's fresh product, never on
-    ``x``; hidden activations are appended to ``hidden`` when it is a list.
+    ``x``; each layer's output is appended to ``outputs`` when it is a list.
     """
-    h = x
-    for w, b in zip(params.weights[:-2], params.biases[:-2]):
-        h = h @ w
-        h += b
-        np.maximum(h, 0.0, out=h)
-        if hidden is not None:
-            hidden.append(h)
-    h = np.matmul(h, params.weights[-2], out=out)
-    h += params.biases[-2]
+    h, top = x, len(params.weights) - 2
+    for i in range(top + 1):
+        h = np.matmul(h, params.weights[i], out=out if i == top else None)
+        h += params.biases[i]
+        if i < top:
+            np.maximum(h, 0.0, out=h)
+        if outputs is not None:
+            outputs.append(h)
     return h
 
 
 def forward(params: ModelParams, inputs) -> FeatureStack:
     """Run the network, caching every activation needed for backward."""
     x = _check_inputs(params, inputs)
-    hidden: list[np.ndarray] = []
-    bottleneck = _trunk(params, x, hidden)
-    logits = bottleneck @ params.weights[-1]
+    outputs: list[np.ndarray] = []
+    logits = _trunk(params, x, outputs) @ params.weights[-1]
     logits += params.biases[-1]
+    outputs.append(logits)
     probs = logits - logits.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
-    return FeatureStack(inputs=x, hidden=hidden, bottleneck=bottleneck, logits=logits, probs=probs)
+    return FeatureStack(inputs=x, outputs=outputs, probs=probs)
 
 
 def embed(params: ModelParams, inputs) -> np.ndarray:
@@ -179,7 +182,7 @@ def embed(params: ModelParams, inputs) -> np.ndarray:
 
     Rows run in near-equal blocks of at most ``EMBED_BLOCK_ROWS``, so each
     layer's temporaries stay small.  Row ``i`` equals
-    ``forward(params, inputs).bottleneck[i]`` while BLAS computes a row the
+    ``forward(params, inputs).outputs[-2][i]`` while BLAS computes a row the
     same way whatever the row count; no block is a single row, because NumPy
     sends one-row products to gemv, which rounds differently from gemm.
     """
@@ -221,45 +224,43 @@ def cross_entropy_grad(probs, labels) -> np.ndarray:
     return g / p.shape[0]
 
 
-def _checked_grad(grad, like: np.ndarray, name: str) -> np.ndarray:
-    g = np.asarray(grad, dtype=float)
-    if g.shape != like.shape:
-        raise ValueError(f"{name} shape mismatch")
-    return g
+def _layer_names(n_layers: int) -> list[str]:
+    return [f"hidden.{i}" for i in range(n_layers - 2)] + ["bottleneck", "logits"]
 
 
 def backward(
     params: ModelParams,
     stack: FeatureStack,
-    logits_grad: np.ndarray | None = None,
-    bottleneck_grad: np.ndarray | None = None,
+    output_grads: dict[int, np.ndarray],
     out: ModelParams | None = None,
 ) -> ModelParams:
     """Reverse-mode gradients for one cached forward pass.
 
-    ``logits_grad`` and ``bottleneck_grad`` are loss gradients at the logits
-    and at the bottleneck features; either may be omitted.  The parameter
-    gradients are added into ``out`` (a fresh zero container when omitted),
-    which is returned.
+    ``output_grads`` maps a layer index (negative counts from the logits, as
+    in ``stack.outputs``) to the loss gradient at that layer's output.  The
+    parameter gradients are added into ``out`` (a fresh zero container when
+    omitted), which is returned.
     """
-    d = np.zeros_like(stack.logits)  # so a -0.0 gradient still enters as +0.0
-    if logits_grad is not None:
-        d += _checked_grad(logits_grad, stack.logits, "logits_grad")
-    if bottleneck_grad is not None:
-        bottleneck_grad = _checked_grad(bottleneck_grad, stack.bottleneck, "bottleneck_grad")
+    n = len(stack.outputs)
+    at = {range(n)[key]: np.asarray(g, dtype=float) for key, g in output_grads.items()}
+    if len(at) < len(output_grads):
+        raise ValueError("two gradients for one layer")
+    for i, g in at.items():
+        if g.shape != stack.outputs[i].shape:
+            raise ValueError(f"{_layer_names(n)[i]} gradient shape {g.shape} "
+                             f"!= output shape {stack.outputs[i].shape}")
     grads = zeros_like_params(params) if out is None else out
-    layer_inputs = [stack.inputs, *stack.hidden, stack.bottleneck]
-    top = len(params.weights) - 1
-    for i in range(top, -1, -1):  # d is the loss gradient at layer i's output
-        grads.weights[i] += layer_inputs[i].T @ d
+    d = np.zeros_like(stack.outputs[-1])  # so a -0.0 gradient still enters as +0.0
+    for i in range(n - 1, -1, -1):  # d: the loss gradient at layer i's output
+        if i in at:
+            d += at[i]
+        if i < n - 2:
+            d *= stack.outputs[i] > 0.0  # back through the hidden layer's ReLU
+        grads.weights[i] += (stack.outputs[i - 1] if i else stack.inputs).T @ d
         grads.biases[i] += d.sum(axis=0)
         if i == 0:
             break  # the input gradient is never needed
         d = d @ params.weights[i].T
-        if i < top:
-            d *= layer_inputs[i] > 0.0  # ReLU of the hidden layer below
-        elif bottleneck_grad is not None:
-            d += bottleneck_grad
     return grads
 
 
@@ -288,10 +289,6 @@ def sgd_step(
     if not np.isfinite(params.flat).all():
         raise ValueError(f"divergence: non-finite parameters at step {step}")
     return eta
-
-
-def _layer_names(n_layers: int) -> list[str]:
-    return [f"hidden.{i}" for i in range(n_layers - 2)] + ["bottleneck", "logits"]
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -331,6 +328,8 @@ def load_checkpoint(path) -> ModelParams:
         mat = np.array([[float(v) for v in row.split()] for row in block])
         if mat.shape != (rows, cols):
             raise ValueError(f"{path}: shape mismatch for {name}")
+        if name in entries:
+            raise ValueError(f"{path}: duplicate array {name}")
         entries[name] = mat
         i += 1 + rows
 

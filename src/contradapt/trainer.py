@@ -9,8 +9,9 @@ parameter updates.  Per step the composite gradient is
     grad = grad(source CE) + beta * grad(contrastive discrepancy)
 
 with the discrepancy gradients injected at the tapped layers.  This module
-alone picks those layers (``TAPPED_LAYERS``): the discrepancy is measured on
-their activations and ``backward`` takes their gradients.
+alone picks those layers (``TAPPED_LAYERS``, indices into a forward pass's
+layer outputs): the discrepancy is measured on those outputs and
+``backward`` takes its gradients at the same indices.
 The seven methods are ablations of this one pipeline.  Each is one
 ``_Method`` record in ``_TABLE`` (label source, CDD on/off, ``intra_only``,
 class-agnostic sampling, target cross-entropy), and the record is the only
@@ -47,9 +48,10 @@ from .sampling import BatchPlan, CasBatch, class_aware_batch, draw, uniform_sour
 
 log = logging.getLogger(__name__)
 
-# The network activations the discrepancy is measured on, in the order of a
-# LabeledBatch's layers; ``backward`` takes each one's gradient as ``<name>_grad``.
-TAPPED_LAYERS = ("bottleneck", "logits")
+# The layer outputs the discrepancy is measured on, in the order of a
+# LabeledBatch's layers: indices into ``FeatureStack.outputs`` (the bottleneck
+# and the logits), which ``backward`` also takes its gradients by.
+TAPPED_LAYERS = (-2, -1)
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,14 @@ def _fits(annotation: str, value) -> bool:
     return kind is None or (isinstance(value, kind) and not isinstance(value, bool))
 
 
+def _finite(value: numbers.Real) -> bool:
+    """Whether ``value`` is a finite float; an int too large for a float is not."""
+    try:
+        return -np.inf < float(value) < np.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one run; everything needed for exact reproduction."""
@@ -124,7 +134,7 @@ class TrainConfig:
             value = getattr(self, f.name)
             if not _fits(f.type, value):
                 raise ValueError(f"{f.name} must be of type {f.type}, got {value!r}")
-            if f.type == "float" and not -np.inf < value < np.inf:
+            if f.type == "float" and not _finite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -278,8 +288,8 @@ def _build_probe(rng: np.random.Generator, source: Dataset, target: Dataset,
 def tapped_batch(stack_s, stack_t, source_labels, target_labels, class_set) -> LabeledBatch:
     """The discrepancy batch of two forward passes, one layer per tap."""
     return LabeledBatch(
-        source_features=[getattr(stack_s, name) for name in TAPPED_LAYERS],
-        target_features=[getattr(stack_t, name) for name in TAPPED_LAYERS],
+        source_features=[stack_s.outputs[i] for i in TAPPED_LAYERS],
+        target_features=[stack_t.outputs[i] for i in TAPPED_LAYERS],
         source_labels=source_labels,
         target_labels=target_labels,
         class_set=class_set,
@@ -294,15 +304,15 @@ def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack
     value = cdd(specs, batch, intra_only, skip_missing_pairs, with_grad=beta > 0.0)
     if beta > 0.0:
         for side, stack in enumerate((stack_s, stack_t)):
-            taps = {f"{name}_grad": beta * g[side] for name, g in zip(TAPPED_LAYERS, value.grads)}
-            backward(params, stack, out=grads, **taps)
+            taps = {i: beta * g[side] for i, g in zip(TAPPED_LAYERS, value.grads)}
+            backward(params, stack, taps, out=grads)
     return value.total
 
 
 def add_ce_grads(grads: ModelParams, params: ModelParams, inputs, labels) -> float:
     """Add the gradient of mean cross-entropy into ``grads``; returns the loss."""
     stack = forward(params, inputs)
-    backward(params, stack, logits_grad=cross_entropy_grad(stack.probs, labels), out=grads)
+    backward(params, stack, {-1: cross_entropy_grad(stack.probs, labels)}, out=grads)
     return cross_entropy(stack.probs, labels)
 
 

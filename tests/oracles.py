@@ -162,24 +162,25 @@ def layerwise_backward(params, stack, logits_grad=None, tap_grads=None, beta=1.0
     reproduce bit for bit when it is handed ``beta`` times each tap gradient.
     """
     taps = tap_grads or {}
-    d_logits = np.zeros_like(stack.logits)
+    *hidden, bottleneck, logits = stack.outputs
+    d_logits = np.zeros_like(logits)
     if logits_grad is not None:
         d_logits += np.asarray(logits_grad, dtype=float)
     if "logits" in taps:
         d_logits += beta * np.asarray(taps["logits"], dtype=float)
     grads = zeros_like_params(params) if out is None else out
-    grads.weights[-1] += stack.bottleneck.T @ d_logits
+    grads.weights[-1] += bottleneck.T @ d_logits
     grads.biases[-1] += d_logits.sum(axis=0)
     d_bottleneck = d_logits @ params.weights[-1].T
     if "bottleneck" in taps:
         d_bottleneck = d_bottleneck + beta * np.asarray(taps["bottleneck"], dtype=float)
-    last_hidden = stack.hidden[-1] if stack.hidden else stack.inputs
+    last_hidden = hidden[-1] if hidden else stack.inputs
     grads.weights[-2] += last_hidden.T @ d_bottleneck
     grads.biases[-2] += d_bottleneck.sum(axis=0)
     d_h = d_bottleneck @ params.weights[-2].T
-    for i in range(len(stack.hidden) - 1, -1, -1):
-        d_pre = d_h * (stack.hidden[i] > 0.0)
-        below = stack.hidden[i - 1] if i > 0 else stack.inputs
+    for i in range(len(hidden) - 1, -1, -1):
+        d_pre = d_h * (hidden[i] > 0.0)
+        below = hidden[i - 1] if i > 0 else stack.inputs
         grads.weights[i] += below.T @ d_pre
         grads.biases[i] += d_pre.sum(axis=0)
         d_h = d_pre @ params.weights[i].T

@@ -180,6 +180,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     ({"loops": "3"}, "loops"),
     ({"beta": None}, "beta"),
     ({"seed": 1.5}, "seed"),
+    ({"beta": 10**400}, "beta"),  # a JSON number beyond float range
 ])
 def test_train_rejects_wrong_typed_config_values(tmp_path, capsys, config, field):
     data = _gen_small(tmp_path)

@@ -34,6 +34,7 @@ def test_median_heuristic_two_points():
 def test_median_heuristic_one_sided_pool():
     # pooled pairs {1, 1, 4} -> median 1
     assert median_heuristic([[0.0], [1.0], [2.0]], []) == 1.0
+    assert median_heuristic(np.zeros((0, 1)), [[0.0], [1.0], [2.0]]) == 1.0
 
 
 def test_median_heuristic_degenerate_falls_back():
@@ -112,6 +113,23 @@ def test_kernel_matrix_against_naive():
 def test_kernel_matrix_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         kernel_matrix(uniform_spec((1.0,)), [[0.0, 1.0]], [[1.0]])
+    with pytest.raises(ValueError, match="width"):
+        kernel_matrix(uniform_spec((1.0,)), np.zeros((0, 2)), [[1.0]])
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((0, 3)), np.ones((2, 3))),
+    (np.ones((2, 3)), np.zeros((0, 3))),
+    ([], np.ones((2, 3))),
+    (np.ones((2, 3)), []),
+], ids=["empty-rows-first", "empty-rows-second", "empty-list-first", "empty-list-second"])
+def test_kernels_take_an_empty_side_in_either_order(a, b):
+    spec = uniform_spec((1.0, 2.0))
+    shape = (np.shape(a)[0], np.shape(b)[0])
+    assert kernel_matrix(spec, a, b).shape == shape
+    value, (grad_a, grad_b) = kernel_value_and_grad(spec, a, b, np.zeros(shape))
+    assert value == 0.0
+    assert grad_a.shape == (shape[0], 3) and grad_b.shape == (shape[1], 3)
 
 
 def test_kernel_grad_matches_finite_differences():

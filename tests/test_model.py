@@ -90,10 +90,11 @@ def test_forward_softmax_properties():
     assert stack.probs.shape == (7, 3)
     assert np.allclose(stack.probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(stack.probs > 0.0)
-    for h in stack.hidden:
+    assert [h.shape for h in stack.outputs] == [(7, 5), (7, 4), (7, 3)]
+    for h in stack.outputs[:-2]:
         assert np.all(h >= 0.0)
     # matches a plainly written softmax of the cached logits
-    z = stack.logits
+    z = stack.outputs[-1]
     ref = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
     assert np.allclose(stack.probs, ref, atol=1e-12)
 
@@ -123,9 +124,9 @@ def test_embed_matches_forward_bottleneck(hidden):
     rng = np.random.default_rng(11)
     params = _tiny_params(rng, in_dim=3, hidden=hidden)
     small = rng.normal(size=(EMBED_BLOCK_ROWS - 1, 3))
-    assert np.array_equal(embed(params, small), forward(params, small).bottleneck)
+    assert np.array_equal(embed(params, small), forward(params, small).outputs[-2])
     large = rng.normal(size=(5000, 3))  # three blocks
-    assert np.allclose(embed(params, large), forward(params, large).bottleneck,
+    assert np.allclose(embed(params, large), forward(params, large).outputs[-2],
                        rtol=0.0, atol=1e-12)
     assert embed(params, np.zeros((0, 3))).shape == (0, 4)
 
@@ -185,28 +186,61 @@ def test_backward_matches_finite_differences_with_taps():
         stack = forward(p, x)
         return (
             cross_entropy(stack.probs, y)
-            + beta * float(np.sum(tap_b * stack.bottleneck))
-            + beta * float(np.sum(tap_l * stack.logits))
+            + beta * float(np.sum(tap_b * stack.outputs[-2]))
+            + beta * float(np.sum(tap_l * stack.outputs[-1]))
         )
 
     stack = forward(params, x)
-    grads = backward(
-        params,
-        stack,
-        logits_grad=cross_entropy_grad(stack.probs, y) + beta * tap_l,
-        bottleneck_grad=beta * tap_b,
-    )
+    grads = backward(params, stack, {-1: cross_entropy_grad(stack.probs, y) + beta * tap_l,
+                                     -2: beta * tap_b})
     fd = central_difference(loss_at, params.flat, step=1e-6)
     assert relative_gradient_error(grads.flat, fd) < 1e-5
+
+
+@pytest.mark.parametrize("hidden", [(4,), (4, 3)])
+def test_backward_matches_finite_differences_at_every_layer(hidden):
+    """A gradient at any layer's output, hidden layers included, one layer at
+    a time and all at once (keyed from the logits)."""
+    rng = np.random.default_rng(7)
+    params = _tiny_params(rng, in_dim=2, hidden=hidden, bottleneck=3, n_classes=3)
+    # Off the zero-bias init: a row whose hidden units are all dead would put
+    # the next pre-activation at exactly 0, on the ReLU's kink.
+    params.flat[:] += 0.3 * rng.normal(size=params.flat.size)
+    x = rng.normal(size=(5, 2))
+    stack = forward(params, x)
+    taps = [rng.normal(size=h.shape) for h in stack.outputs]
+
+    def check(layers):
+        def loss_at(vec):
+            outputs = forward(ModelParams.on_buffer(vec, params), x).outputs
+            return sum(float(np.sum(taps[i] * outputs[i])) for i in layers)
+
+        grads = backward(params, stack, {i - len(taps): taps[i] for i in layers})
+        fd = central_difference(loss_at, params.flat, step=1e-6)
+        assert relative_gradient_error(grads.flat, fd) < 1e-6, layers
+
+    for i in range(len(taps)):
+        check([i])
+    check(range(len(taps)))
 
 
 def test_backward_tap_validation():
     params = _tiny_params()
     stack = forward(params, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="logits_grad shape mismatch"):
-        backward(params, stack, logits_grad=np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="bottleneck_grad shape mismatch"):
-        backward(params, stack, bottleneck_grad=np.zeros((2, 7)))
+    dst = zeros_like_params(params)
+    cases = [
+        ({-1: np.zeros((3, 3))}, ValueError, r"logits gradient shape \(3, 3\)"),
+        ({-2: np.zeros((2, 7))}, ValueError, r"bottleneck gradient shape \(2, 7\)"),
+        ({0: np.zeros((2, 4))}, ValueError, r"hidden.0 gradient shape \(2, 4\)"),
+        ({-1: np.zeros((2, 3)), 0: np.ones((2, 5)), -3: np.ones((2, 5))}, ValueError,
+         "two gradients for one layer"),
+        ({3: np.zeros((2, 3))}, IndexError, "range"),
+        ({-4: np.zeros((2, 3))}, IndexError, "range"),
+    ]
+    for grads, error, message in cases:
+        with pytest.raises(error, match=message):
+            backward(params, stack, {-1: np.ones((2, 3)), **grads}, out=dst)
+        assert not dst.flat.any()  # checked before anything is added
 
 
 @pytest.mark.parametrize("hidden", [(), (5,), (5, 4)])
@@ -218,24 +252,23 @@ def test_backward_equals_layerwise_reference_bit_for_bit(hidden):
     tap_b, tap_l = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
     ce[0, 0], tap_l[1, 1], tap_b[2, 2] = -0.0, -0.0, -0.0  # signed zeros must come out alike
     beta = 0.3
-    cases = [  # (new keyword arguments, reference keyword arguments)
-        (dict(logits_grad=ce), dict(logits_grad=ce)),
-        (dict(bottleneck_grad=tap_b), dict(tap_grads={"bottleneck": tap_b})),
-        (dict(logits_grad=beta * tap_l), dict(tap_grads={"logits": tap_l}, beta=beta)),
-        (dict(bottleneck_grad=beta * tap_b), dict(tap_grads={"bottleneck": tap_b}, beta=beta)),
-        (dict(logits_grad=beta * tap_l, bottleneck_grad=beta * tap_b),
+    cases = [  # (gradients by layer index, reference keyword arguments)
+        ({-1: ce}, dict(logits_grad=ce)),
+        ({-2: tap_b}, dict(tap_grads={"bottleneck": tap_b})),
+        ({-1: beta * tap_l}, dict(tap_grads={"logits": tap_l}, beta=beta)),
+        ({-2: beta * tap_b}, dict(tap_grads={"bottleneck": tap_b}, beta=beta)),
+        ({-1: beta * tap_l, -2: beta * tap_b},
          dict(tap_grads={"bottleneck": tap_b, "logits": tap_l}, beta=beta)),
-        (dict(logits_grad=ce, bottleneck_grad=tap_b),
-         dict(logits_grad=ce, tap_grads={"bottleneck": tap_b})),
-        (dict(logits_grad=ce + beta * tap_l, bottleneck_grad=beta * tap_b),
+        ({-1: ce, -2: tap_b}, dict(logits_grad=ce, tap_grads={"bottleneck": tap_b})),
+        ({-1: ce + beta * tap_l, -2: beta * tap_b},
          dict(logits_grad=ce, tap_grads={"bottleneck": tap_b, "logits": tap_l}, beta=beta)),
     ]
     start = rng.normal(size=params.flat.size)
     for new, ref in cases:
-        assert np.array_equal(backward(params, stack, **new).flat,
+        assert np.array_equal(backward(params, stack, new).flat,
                               layerwise_backward(params, stack, **ref).flat)
         dst, ref_dst = (ModelParams.on_buffer(start.copy(), params) for _ in range(2))
-        assert backward(params, stack, out=dst, **new) is dst
+        assert backward(params, stack, new, out=dst) is dst
         layerwise_backward(params, stack, out=ref_dst, **ref)
         assert np.array_equal(dst.flat, ref_dst.flat)
 
@@ -328,7 +361,7 @@ def test_training_drives_loss_down_on_separable_data():
     schedule = LrSchedule(eta0=1e-2, total_steps=2000)
     for step in range(2000):
         stack = forward(params, x)
-        grads = backward(params, stack, logits_grad=cross_entropy_grad(stack.probs, y))
+        grads = backward(params, stack, {-1: cross_entropy_grad(stack.probs, y)})
         sgd_step(params, grads, velocity, schedule, step)
     final = cross_entropy(forward(params, x).probs, y)
     assert final < 0.05
@@ -357,11 +390,11 @@ def test_backward_into_out_equals_add_params_bit_for_bit():
     stack = forward(params, x)
     ce = cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6))
     tap_b, tap_l, beta = rng.normal(size=(6, 4)), rng.normal(size=(6, 3)), 0.3
-    kwargs = dict(logits_grad=ce + beta * tap_l, bottleneck_grad=beta * tap_b)
+    taps = {-1: ce + beta * tap_l, -2: beta * tap_b}
     dst = ModelParams.on_buffer(rng.normal(size=params.flat.size), params)
     ref = dst.copy()
-    add_params_(ref, backward(params, stack, **kwargs))
-    assert backward(params, stack, out=dst, **kwargs) is dst
+    add_params_(ref, backward(params, stack, taps))
+    assert backward(params, stack, taps, out=dst) is dst
     assert np.array_equal(dst.flat, ref.flat)
 
 
@@ -411,6 +444,7 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         ({"logits.weight": "3 2\n1 -1\n1 -1\n1 -1"}, "shape mismatch for logits.weight"),
         ({"logits.weight": "1\n1 -1"}, "malformed header at line 6"),
         ({"hidden.1.weight": "1 1\n0"}, r"unexpected arrays \['hidden.1.weight'\]"),
+        ({"logits.bias": "1 2\n0 0\nlogits.bias 1 2\n5 5"}, "duplicate array logits.bias"),
     ]
     foreign = tmp_path / "foreign.txt"
 
@@ -443,8 +477,7 @@ def test_every_container_is_views_of_one_flat_vector(tmp_path):
         "copy": params.copy(),
         "load_checkpoint": load_checkpoint(tmp_path / "ckpt.txt"),
         "on_buffer": ModelParams.on_buffer(params.flat.copy(), params),
-        "backward": backward(params, forward(params, np.ones((2, 3))),
-                             logits_grad=np.ones((2, 3))),
+        "backward": backward(params, forward(params, np.ones((2, 3))), {-1: np.ones((2, 3))}),
         "constructor": _scalar_params(2.0),
     }
     for name, p in made.items():

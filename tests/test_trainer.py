@@ -109,6 +109,7 @@ def test_config_validation():
     ("beta", float("nan")),
     ("beta", float("inf")),
     ("eta0", float("inf")),
+    pytest.param("beta", 10**400, id="beta-10**400"),  # finite int, no finite float
 ])
 def test_config_rejects_bad_field_at_construction(field, value):
     with pytest.raises(ValueError, match=field):
@@ -157,7 +158,7 @@ def test_predict_equals_forward_argmax(n_rows):
     rng = np.random.default_rng(6)
     params = init_params(rng, 2, (8,), 4, 3)
     x = 3.0 * rng.normal(size=(n_rows, 2))
-    assert np.array_equal(predict(params, x), np.argmax(forward(params, x).logits, axis=1))
+    assert np.array_equal(predict(params, x), np.argmax(forward(params, x).outputs[-1], axis=1))
 
 
 def test_train_zero_loops_reports_init_model():
@@ -325,15 +326,14 @@ def test_gradcheck_composite_matches_step_composition_bit_for_bit():
     loss, grads = composite_loss_and_grads(params, specs, beta, ce_x, ce_y, xs, ys, xt, yt, (0, 1))
     # The same step spelled out with the separate value and gradient calls.
     stack_ce, stack_s, stack_t = forward(params, ce_x), forward(params, xs), forward(params, xt)
-    batch = LabeledBatch([stack_s.bottleneck, stack_s.logits],
-                         [stack_t.bottleneck, stack_t.logits], ys, yt, (0, 1))
+    batch = LabeledBatch(stack_s.outputs[-2:], stack_t.outputs[-2:], ys, yt, (0, 1))
     expected = zeros_like_params(params)
     add_params_(expected, backward(params, stack_ce,
-                                   logits_grad=cross_entropy_grad(stack_ce.probs, ce_y)))
+                                   {-1: cross_entropy_grad(stack_ce.probs, ce_y)}))
     layer_grads = cdd_grad(specs, batch)
     for side, stack in enumerate((stack_s, stack_t)):
-        add_params_(expected, backward(params, stack, logits_grad=beta * layer_grads[1][side],
-                                       bottleneck_grad=beta * layer_grads[0][side]))
+        add_params_(expected, backward(params, stack, {-1: beta * layer_grads[1][side],
+                                                       -2: beta * layer_grads[0][side]}))
     assert loss == cross_entropy(stack_ce.probs, ce_y) + beta * cdd(specs, batch).total
     assert np.array_equal(grads.flat, expected.flat)
 
