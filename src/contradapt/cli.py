@@ -40,10 +40,15 @@ def _load_config_file(path: str) -> tuple[dict, str | None, str | None]:
     if isinstance(obj.get("config"), dict):  # manifest-shaped: reproduce that run
         cfg = dict(obj["config"])
         datasets = obj.get("datasets", {})
+        if not isinstance(datasets, dict):
+            raise ValueError(f"{path}: datasets must be a JSON object")
         source, target = datasets.get("source"), datasets.get("target")
     else:
         cfg = dict(obj)
         source, target = cfg.pop("source", None), cfg.pop("target", None)
+    for key, value in (("source", source), ("target", target)):
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{path}: {key} must be a path string or null")
     unknown = set(cfg) - _CONFIG_FIELDS
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")

@@ -17,7 +17,6 @@ import numpy as np
 
 _WEIGHT_TOL = 1e-12
 _DEGENERATE_MEDIAN = 1e-12  # relative to the largest squared row norm
-DEFAULT_BANDWIDTH_MULTIPLIERS = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass(frozen=True)
@@ -94,11 +93,7 @@ def median_heuristic(features_a, features_b) -> float:
     return med if med > _DEGENERATE_MEDIAN * scale else 1.0
 
 
-def median_kernel_spec(
-    features_a,
-    features_b,
-    multipliers: tuple[float, ...] = DEFAULT_BANDWIDTH_MULTIPLIERS,
-) -> KernelSpec:
+def median_kernel_spec(features_a, features_b, multipliers: tuple[float, ...]) -> KernelSpec:
     """Equal-weight mixture spec with bandwidths spread around the median heuristic."""
     med = median_heuristic(features_a, features_b)
     return uniform_spec(tuple(m * med for m in multipliers))

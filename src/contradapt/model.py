@@ -330,6 +330,8 @@ def load_checkpoint(path) -> ModelParams:
             raise ValueError(f"{path}: shape mismatch for {name}")
         if name in entries:
             raise ValueError(f"{path}: duplicate array {name}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"{path}: non-finite value in {name}")
         entries[name] = mat
         i += 1 + rows
 

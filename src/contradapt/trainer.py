@@ -253,6 +253,8 @@ def evaluate(params: ModelParams, dataset: Dataset) -> EvalResult:
     """Accuracy of argmax-logit predictions (ties resolve to the lowest id)."""
     if not dataset.labeled:
         raise ValueError("dataset has no ground-truth labels")
+    if dataset.labels.max() >= params.n_classes:
+        raise ValueError(f"dataset labels outside the model's {params.n_classes} classes")
     preds = predict(params, dataset.features)
     correct = preds == dataset.labels
     per_class: dict[int, float] = {}

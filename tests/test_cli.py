@@ -9,7 +9,8 @@ import pytest
 
 from contradapt import __version__
 from contradapt.cli import build_parser, main
-from contradapt.data import load_csv
+from contradapt.data import Dataset, load_csv, save_csv
+from contradapt.model import init_params, save_checkpoint
 from contradapt.trainer import METHODS, TrainConfig
 
 
@@ -181,6 +182,9 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     ({"beta": None}, "beta"),
     ({"seed": 1.5}, "seed"),
     ({"beta": 10**400}, "beta"),  # a JSON number beyond float range
+    ({"config": {}, "datasets": []}, "datasets"),
+    ({"target": ["t.csv"]}, "target"),
+    ({"source": 5}, "source"),  # never handed to open() as a file descriptor
 ])
 def test_train_rejects_wrong_typed_config_values(tmp_path, capsys, config, field):
     data = _gen_small(tmp_path)
@@ -248,6 +252,15 @@ def test_eval_failure_paths(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "nope.txt"),
                  "--data", str(data / "target.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+    # a 2-class checkpoint cannot predict label 5
+    checkpoint = tmp_path / "checkpoint.txt"
+    save_checkpoint(init_params(np.random.default_rng(0), 2, (), 2, 2), checkpoint)
+    target = load_csv(data / "target.csv")
+    relabelled = tmp_path / "relabelled.csv"
+    save_csv(Dataset(target.features, np.where(target.labels == 1, 5, target.labels),
+                     "target"), relabelled)
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(relabelled)]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_gradcheck_passes_and_reports(capsys):
@@ -271,9 +284,13 @@ def test_gradcheck_seed_reproducibility(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_cli_import_leaves_gradcheck_unloaded():
-    code = ("import sys, contradapt.cli; "
-            "sys.exit('contradapt.gradcheck' in sys.modules)")
+@pytest.mark.parametrize("imported, unloaded", [
+    ("contradapt.cli", "contradapt.gradcheck"),
+    ("contradapt.data", "contradapt.trainer"),
+    ("contradapt.kernels", "contradapt.model"),
+])
+def test_import_leaves_module_unloaded(imported, unloaded):
+    code = f"import sys, {imported}; sys.exit({unloaded!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 

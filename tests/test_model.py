@@ -445,6 +445,7 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         ({"logits.weight": "1\n1 -1"}, "malformed header at line 6"),
         ({"hidden.1.weight": "1 1\n0"}, r"unexpected arrays \['hidden.1.weight'\]"),
         ({"logits.bias": "1 2\n0 0\nlogits.bias 1 2\n5 5"}, "duplicate array logits.bias"),
+        ({"logits.weight": "1 2\n1 nan"}, "non-finite value in logits.weight"),
     ]
     foreign = tmp_path / "foreign.txt"
 
