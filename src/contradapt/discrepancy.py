@@ -91,11 +91,11 @@ class CddValue:
     ``total`` is read off the gradient pass as ``<U, K>`` summed over each
     layer's three kernel blocks.  ``grads`` holds one ``(grad_source,
     grad_target)`` pair of ``total`` per layer, shaped like that layer's
-    features, or None when gradients were not requested.
+    features.
     """
 
     total: float
-    grads: list[tuple[np.ndarray, np.ndarray]] | None = None
+    grads: list[tuple[np.ndarray, np.ndarray]]
 
 
 def mmd_squared(spec: KernelSpec, source, target) -> float:
@@ -144,10 +144,9 @@ def cdd(
     batch: LabeledBatch,
     intra_only: bool = False,
     skip_missing_pairs: bool = False,
-    with_grad: bool = False,
 ) -> CddValue:
-    """Contrastive discrepancy of a batch, summed over layers, and with
-    ``with_grad`` its exact gradients w.r.t. every layer's features.
+    """Contrastive discrepancy of a batch, summed over layers, and its exact
+    gradients w.r.t. every layer's features.
 
     Each kernel block of each layer is evaluated once, by
     ``kernel_value_and_grad`` against its upstream matrix, and serves both
@@ -165,13 +164,12 @@ def cdd(
     u_ss, u_tt, u_st = _upstreams(batch, skip_missing_pairs, intra_only)
     total, grads = 0.0, []
     for spec, s, t in zip(specs, batch.source_features, batch.target_features):
-        v_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss, with_grad)
-        v_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt, with_grad)
-        v_st, g_st = kernel_value_and_grad(spec, s, t, u_st, with_grad)
+        v_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
+        v_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
+        v_st, g_st = kernel_value_and_grad(spec, s, t, u_st)
         total += v_ss + v_tt + v_st
-        if with_grad:
-            grads.append((g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]))
-    return CddValue(total=total, grads=grads if with_grad else None)
+        grads.append((g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]))
+    return CddValue(total=total, grads=grads)
 
 
 def cdd_grad(
@@ -180,6 +178,5 @@ def cdd_grad(
     intra_only: bool = False,
     skip_missing_pairs: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``cdd(..., with_grad=True).grads``: one ``(grad_source, grad_target)``
-    pair per layer."""
-    return cdd(specs, batch, intra_only, skip_missing_pairs, with_grad=True).grads
+    """``cdd(...).grads``: one ``(grad_source, grad_target)`` pair per layer."""
+    return cdd(specs, batch, intra_only, skip_missing_pairs).grads

@@ -1,12 +1,11 @@
 """Gaussian RBF mixture kernels, bandwidth selection, and input gradients.
 
-All kernels here are mixtures of Gaussians evaluated on squared Euclidean
-distances between feature rows:
+All kernels here are equal-weight mixtures of M Gaussians evaluated on
+squared Euclidean distances between feature rows:
 
-    k(a, b) = sum_m  w_m * exp(-||a - b||^2 / (2 * s2_m))
+    k(a, b) = sum_m  (1 / M) * exp(-||a - b||^2 / (2 * s2_m))
 
-where the ``s2_m`` are bandwidths in squared feature units and the weights
-``w_m`` sum to one.
+where the ``s2_m`` are bandwidths in squared feature units.
 """
 
 from __future__ import annotations
@@ -15,43 +14,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_WEIGHT_TOL = 1e-12
 _DEGENERATE_MEDIAN = 1e-12  # relative to the largest squared row norm
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A fixed mixture of Gaussian RBF kernels.
+    """An equal-weight mixture of Gaussian RBF kernels.
 
     Attributes:
         bandwidths: per-component variances ``s2_m`` (squared feature units).
-        weights: mixture weights; must be positive and sum to 1 within 1e-12.
     """
 
     bandwidths: tuple[float, ...]
-    weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
         bw = tuple(float(v) for v in self.bandwidths)
-        w = tuple(float(v) for v in self.weights)
-        if not bw or len(bw) != len(w):
-            raise ValueError("bandwidths and weights must have equal, nonzero length")
+        if not bw:
+            raise ValueError("bandwidths must be nonempty")
         if any(v <= 0.0 or not np.isfinite(v) for v in bw):
             raise ValueError("bandwidths must be positive and finite")
-        if any(v <= 0.0 or not np.isfinite(v) for v in w):
-            raise ValueError("weights must be positive and finite")
-        if abs(sum(w) - 1.0) > _WEIGHT_TOL:
-            raise ValueError("weights must sum to 1")
         object.__setattr__(self, "bandwidths", bw)
-        object.__setattr__(self, "weights", w)
 
-
-def uniform_spec(bandwidths) -> KernelSpec:
-    """Build a KernelSpec with equal weights over the given bandwidths."""
-    bw = tuple(float(v) for v in bandwidths)
-    if not bw:
-        raise ValueError("bandwidths must be nonempty")
-    return KernelSpec(bandwidths=bw, weights=tuple(1.0 / len(bw) for _ in bw))
+    @property
+    def weights(self) -> tuple[float, ...]:
+        """The mixture weights, ``1 / M`` each."""
+        return tuple(1.0 / len(self.bandwidths) for _ in self.bandwidths)
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,7 +83,7 @@ def median_heuristic(features_a, features_b) -> float:
 def median_kernel_spec(features_a, features_b, multipliers: tuple[float, ...]) -> KernelSpec:
     """Equal-weight mixture spec with bandwidths spread around the median heuristic."""
     med = median_heuristic(features_a, features_b)
-    return uniform_spec(tuple(m * med for m in multipliers))
+    return KernelSpec(tuple(m * med for m in multipliers))
 
 
 def _check_pair(features_a, features_b) -> tuple[np.ndarray, np.ndarray]:
@@ -109,47 +96,32 @@ def _check_pair(features_a, features_b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream,
-                          with_grad: bool = True):
-    """``sum(upstream * K)`` for the mixture kernel matrix ``K`` and, with
-    ``with_grad``, its gradients w.r.t. both inputs, from one evaluation.
+def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream):
+    """``sum(upstream * K)`` for the mixture kernel matrix ``K`` and its
+    gradients w.r.t. both inputs, from one evaluation.
 
     All M components are stacked as ``E[m] = exp(-d2 / (2 s2_m))`` of shape
-    ``(M, n_a, n_b)``.  With ``S = upstream * (w / s2) * E``, component m
-    contributes ``S_m @ b - rowsum(S_m) * a`` to ``grad_a``, and the value is
-    ``sum_m s2_m * sum(rowsum(S_m))``, read off the same row sums; without
-    ``with_grad`` only the two matmuls are skipped, so the value is the same
-    bit for bit.  Gradient components are reduced along the leading axis in
-    order, so they equal a loop over components bit for bit.  (Exception:
-    NumPy sums pairwise when a result has a single element and there are 8
-    or more components.)
+    ``(M, n_a, n_b)``.  With ``S = upstream * (w / s2) * E`` and ``w = 1 / M``,
+    component m contributes ``S_m @ b - rowsum(S_m) * a`` to ``grad_a``, and
+    the value is ``sum_m s2_m * sum(rowsum(S_m))``, read off the same row
+    sums.  Gradient components are reduced along the leading axis in order,
+    so they equal a loop over components bit for bit.  (Exception: NumPy sums
+    pairwise when a result has a single element and there are 8 or more
+    components.)
 
     Returns:
-        ``(value, grads)``: the float ``sum(upstream * K)``, and ``(grad_a,
-        grad_b)`` shaped like the inputs, or None without ``with_grad``.
+        ``(value, (grad_a, grad_b))``: the float ``sum(upstream * K)`` and
+        gradients shaped like the inputs.
     """
     a, b = _check_pair(features_a, features_b)
     up = np.asarray(upstream, dtype=float)
     if up.shape != (a.shape[0], b.shape[0]):
         raise ValueError(f"upstream shape {up.shape} does not match {(a.shape[0], b.shape[0])}")
-    w = np.asarray(spec.weights)[:, None, None]
+    w = 1.0 / len(spec.bandwidths)  # every entry of spec.weights
     s2 = np.asarray(spec.bandwidths)[:, None, None]
     s = up * ((w / s2) * np.exp(squared_distances(a, b) / (-2.0 * s2)))
     row_sums = s.sum(axis=2)
     value = float(s2[:, 0, 0] @ row_sums.sum(axis=1))
-    if not with_grad:
-        return value, None
     grad_a = (s @ b - row_sums[..., None] * a).sum(axis=0)
     grad_b = (s.transpose(0, 2, 1) @ a - s.sum(axis=1)[..., None] * b).sum(axis=0)
     return value, (grad_a, grad_b)
-
-
-def kernel_matrix(spec: KernelSpec, features_a, features_b) -> np.ndarray:
-    """Evaluate the mixture kernel between all row pairs.
-
-    Returns an ``(n_a, n_b)`` matrix; entries lie in ``(0, 1]``.
-    """
-    a, b = _check_pair(features_a, features_b)
-    w = np.asarray(spec.weights)[:, None, None]
-    s2 = np.asarray(spec.bandwidths)[:, None, None]
-    return (w * np.exp(squared_distances(a, b) / (-2.0 * s2))).sum(axis=0)

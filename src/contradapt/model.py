@@ -319,15 +319,21 @@ def load_checkpoint(path) -> ModelParams:
             i += 1
             continue
         parts = lines[i].split()
-        if len(parts) != 3:
+        if len(parts) != 3 or not (parts[1].isdecimal() and parts[2].isdecimal()):
             raise ValueError(f"{path}: malformed header at line {i + 1}")
         name, rows, cols = parts[0], int(parts[1]), int(parts[2])
         block = lines[i + 1 : i + 1 + rows]
         if len(block) != rows:
             raise ValueError(f"{path}: truncated block for {name}")
-        mat = np.array([[float(v) for v in row.split()] for row in block])
-        if mat.shape != (rows, cols):
+        values = []
+        for n, row in enumerate(block, start=i + 2):
+            try:
+                values.append([float(v) for v in row.split()])
+            except ValueError:
+                raise ValueError(f"{path}: bad value in {name} at line {n}") from None
+        if not values or any(len(v) != cols for v in values):
             raise ValueError(f"{path}: shape mismatch for {name}")
+        mat = np.array(values)
         if name in entries:
             raise ValueError(f"{path}: duplicate array {name}")
         if not np.isfinite(mat).all():

@@ -303,7 +303,7 @@ def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack
                   skip_missing_pairs: bool = False) -> float:
     """Add ``beta`` times the discrepancy's parameter gradient into ``grads``
     (skipped at ``beta == 0``); returns the discrepancy value."""
-    value = cdd(specs, batch, intra_only, skip_missing_pairs, with_grad=beta > 0.0)
+    value = cdd(specs, batch, intra_only, skip_missing_pairs)
     if beta > 0.0:
         for side, stack in enumerate((stack_s, stack_t)):
             taps = {i: beta * g[side] for i, g in zip(TAPPED_LAYERS, value.grads)}

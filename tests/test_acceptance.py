@@ -221,7 +221,7 @@ def test_a5_oracle_equivalence():
         yt = np.concatenate([np.arange(m), rng.integers(0, m, size=n_t - m)])
         rng.shuffle(ys)
         rng.shuffle(yt)
-        spec = KernelSpec(bandwidths=(0.5, 1.7), weights=(0.5, 0.5))
+        spec = KernelSpec((0.5, 1.7))
 
         got = mmd_squared(spec, xs, xt)
         want = naive_mmd(spec, xs, xt)

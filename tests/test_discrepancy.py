@@ -10,7 +10,7 @@ from contradapt.discrepancy import (
     mmd_squared,
 )
 from contradapt.gradcheck import central_difference, relative_gradient_error
-from contradapt.kernels import uniform_spec
+from contradapt.kernels import KernelSpec
 
 from oracles import naive_cdd, naive_mmd, naive_pair
 
@@ -24,7 +24,7 @@ def _batch(rng, n_classes=2, per_side=(2, 3), dims=(3,), spread=1.0):
 
 
 def test_mmd_example_value():
-    spec = uniform_spec((1.0,))
+    spec = KernelSpec((1.0,))
     assert mmd_squared(spec, [[0.0]], [[1.0]]) == pytest.approx(
         0.7869386805747332, abs=1e-15
     )
@@ -33,13 +33,13 @@ def test_mmd_example_value():
 def test_mmd_identical_multisets_is_zero():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(5, 3))
-    spec = uniform_spec((0.7, 2.0))
+    spec = KernelSpec((0.7, 2.0))
     assert abs(mmd_squared(spec, x, x.copy())) <= 1e-12
 
 
 def test_mmd_symmetry_and_nonnegativity():
     rng = np.random.default_rng(1)
-    spec = uniform_spec((1.0, 4.0))
+    spec = KernelSpec((1.0, 4.0))
     for _ in range(10):
         s = rng.normal(size=(rng.integers(1, 6), 2))
         t = rng.normal(size=(rng.integers(1, 6), 2))
@@ -51,20 +51,20 @@ def test_mmd_symmetry_and_nonnegativity():
 def test_mmd_matches_naive():
     rng = np.random.default_rng(2)
     for _ in range(10):
-        spec = uniform_spec(np.exp(rng.uniform(-1, 1, size=2)))
+        spec = KernelSpec(np.exp(rng.uniform(-1, 1, size=2)))
         s = rng.normal(size=(rng.integers(1, 7), 3))
         t = rng.normal(size=(rng.integers(1, 7), 3))
         assert mmd_squared(spec, s, t) == pytest.approx(naive_mmd(spec, s, t), abs=1e-12)
 
 
 def test_mmd_empty_domain_raises():
-    spec = uniform_spec((1.0,))
+    spec = KernelSpec((1.0,))
     with pytest.raises(ValueError, match="empty domain"):
         mmd_squared(spec, np.zeros((0, 2)), np.zeros((3, 2)))
 
 
 def test_class_pair_discrepancy_example():
-    spec = uniform_spec((1.0,))
+    spec = KernelSpec((1.0,))
     batch = LabeledBatch(
         source_features=[np.array([[0.0]])],
         target_features=[np.array([[1.0]])],
@@ -89,7 +89,7 @@ def test_cdd_matches_naive_oracle():
         n_classes = int(rng.integers(1, 4))
         dims = tuple(rng.integers(1, 4) for _ in range(rng.integers(1, 3)))
         batch = _batch(rng, n_classes, per_side=(rng.integers(1, 4), rng.integers(1, 4)), dims=dims)
-        specs = [uniform_spec(np.exp(rng.uniform(-1, 1, size=2))) for _ in dims]
+        specs = [KernelSpec(np.exp(rng.uniform(-1, 1, size=2))) for _ in dims]
         value = cdd(specs, batch)
         args = (specs, batch.source_features, batch.target_features,
                 batch.source_labels.tolist(), batch.target_labels.tolist(), batch.class_set)
@@ -115,7 +115,7 @@ def test_cdd_total_matches_naive_oracle_in_every_mode(intra_only, skip_missing):
         dims = [int(d) for d in rng.integers(1, 5, size=rng.integers(1, 4))]
         src = [rng.normal(size=(ys.size, d)) for d in dims]
         tgt = [rng.normal(size=(yt.size, d)) for d in dims]
-        specs = [uniform_spec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 4))))
+        specs = [KernelSpec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 4))))
                  for _ in dims]
         classes = tuple(range(n_classes))
         value = cdd(specs, LabeledBatch(src, tgt, ys, yt, classes), intra_only, skip_missing)
@@ -127,10 +127,10 @@ def test_cdd_total_matches_naive_oracle_in_every_mode(intra_only, skip_missing):
 def test_cdd_single_class_has_no_inter_term():
     rng = np.random.default_rng(4)
     batch = _batch(rng, n_classes=1, per_side=(3, 2))
-    value = cdd([uniform_spec((1.0,))], batch)
-    assert value.total == cdd([uniform_spec((1.0,))], batch, intra_only=True).total
+    value = cdd([KernelSpec((1.0,))], batch)
+    assert value.total == cdd([KernelSpec((1.0,))], batch, intra_only=True).total
     assert value.total == pytest.approx(
-        naive_pair(uniform_spec((1.0,)), batch.source_features[0], batch.target_features[0],
+        naive_pair(KernelSpec((1.0,)), batch.source_features[0], batch.target_features[0],
                    batch.source_labels.tolist(), batch.target_labels.tolist(), 0, 0),
         abs=1e-12,
     )
@@ -142,8 +142,8 @@ def test_cdd_aligned_classes_negative_total():
     src = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
     labels = np.array([0, 0, 1, 1])
     batch = LabeledBatch([src], [src.copy()], labels, labels.copy(), (0, 1))
-    value = cdd([uniform_spec((1.0,))], batch)
-    intra = cdd([uniform_spec((1.0,))], batch, intra_only=True).total
+    value = cdd([KernelSpec((1.0,))], batch)
+    intra = cdd([KernelSpec((1.0,))], batch, intra_only=True).total
     assert intra == pytest.approx(0.0, abs=1e-12)
     assert intra - value.total > 0.5  # the inter term
     assert value.total < 0.0
@@ -152,7 +152,7 @@ def test_cdd_aligned_classes_negative_total():
 def test_cdd_permutation_invariance():
     rng = np.random.default_rng(6)
     batch = _batch(rng, n_classes=2, per_side=(3, 4), dims=(3,))
-    value = cdd([uniform_spec((1.5,))], batch).total
+    value = cdd([KernelSpec((1.5,))], batch).total
     perm_s = rng.permutation(batch.source_labels.size)
     perm_t = rng.permutation(batch.target_labels.size)
     shuffled = LabeledBatch(
@@ -162,13 +162,13 @@ def test_cdd_permutation_invariance():
         batch.target_labels[perm_t],
         batch.class_set,
     )
-    assert cdd([uniform_spec((1.5,))], shuffled).total == pytest.approx(value, abs=1e-12)
+    assert cdd([KernelSpec((1.5,))], shuffled).total == pytest.approx(value, abs=1e-12)
 
 
 def test_cdd_multilayer_sums_layers():
     rng = np.random.default_rng(7)
     batch = _batch(rng, n_classes=2, per_side=(2, 2), dims=(2, 4))
-    specs = [uniform_spec((1.0,)), uniform_spec((2.0,))]
+    specs = [KernelSpec((1.0,)), KernelSpec((2.0,))]
     combined = cdd(specs, batch).total
     first = cdd(
         specs[:1],
@@ -186,7 +186,7 @@ def test_cdd_multilayer_sums_layers():
 def test_cdd_needs_one_spec_per_layer():
     rng = np.random.default_rng(7)
     batch = _batch(rng, n_classes=2, per_side=(2, 2), dims=(2, 4))
-    spec = uniform_spec((1.0,))
+    spec = KernelSpec((1.0,))
     for specs in (spec, [spec], [spec] * 3):
         with pytest.raises(ValueError, match="one KernelSpec required per layer"):
             cdd(specs, batch)
@@ -202,7 +202,7 @@ def test_cdd_strict_mode_requires_two_sided_classes():
         (0, 1),
     )
     with pytest.raises(ValueError, match="empty class pair"):
-        cdd([uniform_spec((1.0,))], batch)
+        cdd([KernelSpec((1.0,))], batch)
 
 
 def test_cdd_skip_missing_pairs_renormalizes():
@@ -212,7 +212,7 @@ def test_cdd_skip_missing_pairs_renormalizes():
     ys = np.array([0, 0, 1, 1])
     yt = np.array([0, 0, 2])  # class 1 missing on target, class 2 on source
     batch = LabeledBatch([src], [tgt], ys, yt, (0, 1, 2))
-    spec = uniform_spec((1.0,))
+    spec = KernelSpec((1.0,))
     value = cdd([spec], batch, skip_missing_pairs=True)
     expected = naive_cdd([spec], [src], [tgt], ys.tolist(), yt.tolist(), (0, 1, 2),
                          skip_missing=True)
@@ -238,7 +238,7 @@ def test_cdd_labels_must_lie_in_class_set():
         (0,),
     )
     with pytest.raises(ValueError, match="outside class_set"):
-        cdd([uniform_spec((1.0,))], batch)
+        cdd([KernelSpec((1.0,))], batch)
 
 
 def test_cdd_grad_matches_finite_differences():
@@ -246,7 +246,7 @@ def test_cdd_grad_matches_finite_differences():
     for trial in range(6):
         n_classes = int(rng.integers(1, 4))
         batch = _batch(rng, n_classes, per_side=(2, 2), dims=(2,))
-        spec = uniform_spec(np.exp(rng.uniform(-0.5, 1.0, size=2)))
+        spec = KernelSpec(np.exp(rng.uniform(-0.5, 1.0, size=2)))
         intra_only = trial % 3 == 0
         (gs, gt), = cdd_grad([spec], batch, intra_only=intra_only)
 
@@ -273,7 +273,7 @@ def test_cdd_grad_skip_missing_matches_finite_differences():
     ys = np.array([0, 0, 1, 1])
     yt = np.array([0, 2, 2])
     batch = LabeledBatch([src], [tgt], ys, yt, (0, 1, 2))
-    spec = uniform_spec((0.8, 1.6))
+    spec = KernelSpec((0.8, 1.6))
     (gs, gt), = cdd_grad([spec], batch, skip_missing_pairs=True)
 
     def at_source(m):
@@ -316,15 +316,11 @@ def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
         batch = LabeledBatch([rng.normal(size=(ys.size, d)) for d in dims],
                              [rng.normal(size=(yt.size, d)) for d in dims],
                              ys, yt, tuple(range(n_classes)))
-        specs = [uniform_spec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 6))))
+        specs = [KernelSpec(np.exp(rng.uniform(-1.0, 1.5, size=rng.integers(1, 6))))
                  for _ in dims]
         kw = dict(intra_only=intra_only, skip_missing_pairs=skip_missing)
-        both = cdd(specs, batch, with_grad=True, **kw)
-        value_only = cdd(specs, batch, **kw)
-        assert both.total == value_only.total
-        intra_kw = dict(kw, intra_only=True)
-        assert (cdd(specs, batch, with_grad=True, **intra_kw).total
-                == cdd(specs, batch, **intra_kw).total)
-        assert value_only.grads is None and len(both.grads) == len(dims)
+        both = cdd(specs, batch, **kw)
+        assert both.total == cdd(specs, batch, **kw).total
+        assert len(both.grads) == len(dims)
         for (gs, gt), (rs, rt) in zip(both.grads, cdd_grad(specs, batch, **kw)):
             assert np.array_equal(gs, rs) and np.array_equal(gt, rt)

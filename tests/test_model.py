@@ -1,9 +1,11 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
 
+from contradapt.cli import main
 from contradapt.gradcheck import central_difference, relative_gradient_error
 from contradapt.model import (
     CHECKPOINT_HEADER,
@@ -422,7 +424,7 @@ def test_checkpoint_round_trip_is_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_rejects_foreign_files(tmp_path):
+def test_checkpoint_rejects_foreign_files(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("something else\n")
     with pytest.raises(ValueError, match="not a recognized checkpoint"):
@@ -446,6 +448,9 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         ({"hidden.1.weight": "1 1\n0"}, r"unexpected arrays \['hidden.1.weight'\]"),
         ({"logits.bias": "1 2\n0 0\nlogits.bias 1 2\n5 5"}, "duplicate array logits.bias"),
         ({"logits.weight": "1 2\n1 nan"}, "non-finite value in logits.weight"),
+        ({"bottleneck.weight": "1 x\n0.5"}, "malformed header at line 2"),
+        ({"bottleneck.weight": "-1 2\n0.5"}, "malformed header at line 2"),
+        ({"bottleneck.weight": "1 1\nabc"}, "bad value in bottleneck.weight at line 3"),
     ]
     foreign = tmp_path / "foreign.txt"
 
@@ -459,6 +464,11 @@ def test_checkpoint_rejects_foreign_files(tmp_path):
         write({**good, **edits})
         with pytest.raises(ValueError, match=message):
             load_checkpoint(foreign)
+        # eval reads the checkpoint first, so the data path is never opened
+        assert main(["eval", "--checkpoint", str(foreign), "--data", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {foreign}: ") and "Traceback" not in err
+        assert re.search(message, err)
 
 
 def _assert_on_flat(params):

@@ -7,7 +7,7 @@ from contradapt.clustering import spherical_kmeans
 from contradapt.data import BlobShift, Dataset, gen_blobs, gen_moons
 from contradapt.discrepancy import LabeledBatch, cdd, cdd_grad
 from contradapt.gradcheck import composite_loss_and_grads
-from contradapt.kernels import uniform_spec
+from contradapt.kernels import KernelSpec
 from contradapt.model import (
     ModelParams,
     backward,
@@ -318,7 +318,7 @@ def test_dataset_checks():
 def test_gradcheck_composite_matches_step_composition_bit_for_bit():
     rng = np.random.default_rng(3)
     params = init_params(rng, 3, (4,), 3, 2)
-    specs = [uniform_spec((0.5, 2.0)), uniform_spec((1.0,))]
+    specs = [KernelSpec((0.5, 2.0)), KernelSpec((1.0,))]
     beta = 0.4
     ce_x, ce_y = rng.normal(size=(5, 3)), np.array([0, 1, 1, 0, 1])
     ys, yt = np.array([0, 0, 1, 1]), np.array([0, 1, 1])
