@@ -119,13 +119,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _sibling_gen_meta(csv_path: str) -> dict | None:
     candidate = os.path.join(os.path.dirname(os.path.abspath(csv_path)), "gen_manifest.json")
-    if not os.path.exists(candidate):
-        return None
     try:
         with open(candidate, "r", encoding="utf-8") as fh:
-            return json.load(fh).get("generator")
-    except (OSError, json.JSONDecodeError):
+            manifest = json.load(fh)
+    except (OSError, ValueError):  # absent, unreadable, not UTF-8 or not JSON
         return None
+    return manifest.get("generator") if isinstance(manifest, dict) else None
 
 
 def cmd_train(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

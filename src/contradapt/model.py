@@ -5,8 +5,9 @@ linear bottleneck, then linear logits.  Init, forward, backward, the SGD
 update and checkpoints all walk that one list, and a forward pass caches one
 output per layer.  ``backward`` takes loss gradients keyed by layer index, so
 a loss on any layer's output (cross-entropy at the logits, a discrepancy at a
-tapped layer) enters there.  Everything is plain float64 numpy; no autodiff
-framework is involved.
+tapped layer) enters there.  ``sgd_step`` reads the learning rate, momentum
+and logits multiplier from the run's ``trainer.TrainConfig``.  Everything is
+plain float64 numpy; no autodiff framework is involved.
 """
 
 from __future__ import annotations
@@ -79,35 +80,6 @@ class FeatureStack:
     inputs: np.ndarray
     outputs: list[np.ndarray]
     probs: np.ndarray
-
-
-@dataclass(frozen=True)
-class LrSchedule:
-    """Inverse-decay learning rate: eta(p) = eta0 / (1 + a * p) ** b.
-
-    ``p`` is training progress ``step / total_steps`` in [0, 1];  per-group
-    multipliers scale the rate for the matching parameter block.
-    """
-
-    eta0: float = 1e-3
-    a: float = 10.0
-    b: float = 0.75
-    momentum: float = 0.9
-    total_steps: int = 1000
-    logits_lr_mult: float = 10.0
-
-    def __post_init__(self) -> None:
-        if not all(0.0 < v < math.inf for v in (self.eta0, self.a, self.b, self.logits_lr_mult)):
-            raise ValueError("eta0, a, b and logits_lr_mult must be positive and finite")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-
-    def eta_at(self, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("progress must lie in [0, 1]")
-        return self.eta0 / (1.0 + self.a * p) ** self.b
 
 
 def init_params(
@@ -268,27 +240,26 @@ def sgd_step(
     params: ModelParams,
     grads: ModelParams,
     velocity: ModelParams,
-    schedule: LrSchedule,
+    config,
     step: int,
-) -> float:
+) -> None:
     """One momentum-SGD update in place: v <- mu v + g;  theta <- theta - eta_p v.
 
-    Returns the base learning rate used.  Raises on non-finite gradients or
-    parameters ("divergence").
+    ``config`` is the run's ``trainer.TrainConfig``: the rate is
+    ``config.eta_at(step)``, scaled by ``config.logits_lr_mult`` for the logits
+    layer, and ``mu`` is ``config.momentum``.  Raises on non-finite gradients
+    or parameters ("divergence").
     """
-    if not 0 <= step < schedule.total_steps:
-        raise ValueError(f"step {step} outside schedule of {schedule.total_steps} steps")
+    eta = config.eta_at(step)
     if not np.isfinite(grads.flat).all():
         raise ValueError(f"divergence: non-finite gradient at step {step}")
-    eta = schedule.eta_at(step / schedule.total_steps)
-    velocity.flat *= schedule.momentum
+    velocity.flat *= config.momentum
     velocity.flat += grads.flat
     split = params.flat.size - params.weights[-1].size - params.biases[-1].size
     params.flat[:split] -= eta * velocity.flat[:split]
-    params.flat[split:] -= (eta * schedule.logits_lr_mult) * velocity.flat[split:]
+    params.flat[split:] -= (eta * config.logits_lr_mult) * velocity.flat[split:]
     if not np.isfinite(params.flat).all():
         raise ValueError(f"divergence: non-finite parameters at step {step}")
-    return eta
 
 
 def save_checkpoint(params: ModelParams, path) -> None:

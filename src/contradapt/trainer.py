@@ -33,7 +33,6 @@ from .data import Dataset
 from .discrepancy import LabeledBatch, cdd
 from .kernels import median_kernel_spec
 from .model import (
-    LrSchedule,
     ModelParams,
     backward,
     cross_entropy,
@@ -156,6 +155,13 @@ class TrainConfig:
         for name in ("eta0", "lr_a", "lr_b", "logits_lr_mult"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
+        try:  # the last step's denominator is the largest any step reaches
+            eta_last = self.eta0 / (1.0 + self.lr_a) ** self.lr_b
+        except OverflowError:
+            eta_last = 0.0
+        if not 0.0 < eta_last < np.inf:
+            raise ValueError(f"lr_a={self.lr_a!r} and lr_b={self.lr_b!r} decay eta0={self.eta0!r} "
+                             "to a rate that is not positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if not self.kmeans_tol >= 0.0:
@@ -166,17 +172,13 @@ class TrainConfig:
 
     @property
     def total_steps(self) -> int:
-        return max(self.loops * self.steps_per_loop, 1)
+        return self.loops * self.steps_per_loop
 
-    def schedule(self) -> LrSchedule:
-        return LrSchedule(
-            eta0=self.eta0,
-            a=self.lr_a,
-            b=self.lr_b,
-            momentum=self.momentum,
-            total_steps=self.total_steps,
-            logits_lr_mult=self.logits_lr_mult,
-        )
+    def eta_at(self, step: int) -> float:
+        """The base rate of ``step``: eta0 / (1 + lr_a * p) ** lr_b with p = step / total_steps."""
+        if not 0 <= step < self.total_steps:
+            raise ValueError(f"step {step} outside schedule of {self.total_steps} steps")
+        return self.eta0 / (1.0 + self.lr_a * (step / self.total_steps)) ** self.lr_b
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -380,7 +382,6 @@ def _cdd_batch(state: TrainState, method: _Method) -> CasBatch | None:
 def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
     """One outer loop: refresh pseudo-labels, then K composite updates."""
     method = _TABLE[config.method]
-    schedule = config.schedule()
     src, tgt = state.source, state.target
 
     if method.labels == "cluster" or (method.labels == "cluster-once" and state.pseudo is None):
@@ -403,7 +404,7 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
         clustering_accuracy = float(np.mean(predict(state.params, tgt.features) == tgt.labels))
 
     cdd_g = _cdd_g(state, config)
-    lr_start = schedule.eta_at(state.step / schedule.total_steps)
+    lr_start = config.eta_at(state.step)
 
     specs = None  # kernel specs, frozen at this loop's first discrepancy batch
     ce_values: list[float] = []
@@ -426,7 +427,7 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
         ce_values.append(
             add_ce_grads(grads, state.params, src.features[ce_idx], src.labels[ce_idx])
         )
-        sgd_step(state.params, grads, state.velocity, schedule, state.step)
+        sgd_step(state.params, grads, state.velocity, config, state.step)
         state.step += 1
 
     target_accuracy = evaluate(state.params, tgt).accuracy if tgt.labeled else None

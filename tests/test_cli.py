@@ -185,6 +185,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     ({"config": {}, "datasets": []}, "datasets"),
     ({"target": ["t.csv"]}, "target"),
     ({"source": 5}, "source"),  # never handed to open() as a file descriptor
+    ({"lr_a": 1e300, "lr_b": 2}, "lr_a"),  # (1 + lr_a) ** lr_b overflows
 ])
 def test_train_rejects_wrong_typed_config_values(tmp_path, capsys, config, field):
     data = _gen_small(tmp_path)
@@ -196,6 +197,17 @@ def test_train_rejects_wrong_typed_config_values(tmp_path, capsys, config, field
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b"\xff\xfe"], ids=["not-an-object", "not-utf8"])
+def test_train_ignores_malformed_sibling_gen_manifest(tmp_path, capsys, content):
+    data = _gen_small(tmp_path)
+    (data / "gen_manifest.json").write_bytes(content)
+    out = tmp_path / "run"
+    assert _run_train(data, out) == 0
+    datasets = json.loads((out / "manifest.json").read_text())["datasets"]
+    assert datasets["source_generator"] is None and datasets["target_generator"] is None
+    assert (out / "checkpoint.txt").exists()
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -288,6 +300,7 @@ def test_gradcheck_seed_reproducibility(capsys):
     ("contradapt.cli", "contradapt.gradcheck"),
     ("contradapt.data", "contradapt.trainer"),
     ("contradapt.kernels", "contradapt.model"),
+    ("contradapt.model", "contradapt.trainer"),
 ])
 def test_import_leaves_module_unloaded(imported, unloaded):
     code = f"import sys, {imported}; sys.exit({unloaded!r} in sys.modules)"

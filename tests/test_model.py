@@ -10,7 +10,6 @@ from contradapt.gradcheck import central_difference, relative_gradient_error
 from contradapt.model import (
     CHECKPOINT_HEADER,
     EMBED_BLOCK_ROWS,
-    LrSchedule,
     ModelParams,
     backward,
     cross_entropy,
@@ -23,6 +22,7 @@ from contradapt.model import (
     sgd_step,
     zeros_like_params,
 )
+from contradapt.trainer import TrainConfig
 
 from oracles import add_params_, layerwise_backward
 
@@ -275,46 +275,53 @@ def test_backward_equals_layerwise_reference_bit_for_bit(hidden):
         assert np.array_equal(dst.flat, ref_dst.flat)
 
 
+def _schedule(total_steps, **fields):
+    """A config whose run is ``total_steps`` steps long, with the given schedule fields."""
+    return TrainConfig(loops=1, steps_per_loop=total_steps, **fields)
+
+
 def test_schedule_endpoint_values():
-    schedule = LrSchedule(eta0=1e-3, a=10.0, b=0.75, total_steps=100)
-    assert schedule.eta_at(0.0) == pytest.approx(0.001, abs=1e-18)
-    assert schedule.eta_at(1.0) == pytest.approx(0.00016556002607617017, abs=1e-18)
+    config = _schedule(100, eta0=1e-3, lr_a=10.0, lr_b=0.75)
+    assert config.eta_at(0) == 1e-3
+    assert config.eta_at(99) == 1e-3 / (1.0 + 10.0 * 0.99) ** 0.75
+    assert config.eta_at(99) == pytest.approx(0.00016669789914299245, rel=1e-12)
 
 
 def test_schedule_strictly_decreasing():
-    schedule = LrSchedule(eta0=2.25, a=3.0, b=0.75, total_steps=10)
-    grid = [schedule.eta_at(p) for p in np.linspace(0.0, 1.0, 50)]
+    config = _schedule(50, eta0=2.25, lr_a=3.0, lr_b=0.75)
+    grid = [config.eta_at(step) for step in range(50)]
     assert all(later < earlier for earlier, later in zip(grid, grid[1:]))
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError, match="positive"):
-        LrSchedule(eta0=0.0)
+    with pytest.raises(ValueError, match="eta0 must be > 0"):
+        _schedule(10, eta0=0.0)
     for mult in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="logits_lr_mult"):
-            LrSchedule(logits_lr_mult=mult)
+            _schedule(10, logits_lr_mult=mult)
     with pytest.raises(ValueError, match="momentum"):
-        LrSchedule(momentum=1.0)
-    with pytest.raises(ValueError, match="total_steps"):
-        LrSchedule(total_steps=0)
-    with pytest.raises(ValueError, match="progress"):
-        LrSchedule().eta_at(1.5)
+        _schedule(10, momentum=1.0)
+    # (1 + lr_a) ** lr_b overflows, or decays eta0 to zero
+    for fields in (dict(lr_a=1e300, lr_b=2.0), dict(eta0=1e-300, lr_a=1e30, lr_b=1.0)):
+        with pytest.raises(ValueError, match="lr_a=.* and lr_b=.*not positive and finite"):
+            _schedule(10, **fields)
+    with pytest.raises(ValueError, match="outside schedule of 0 steps"):
+        TrainConfig(loops=0).eta_at(0)
 
 
 def test_sgd_momentum_algebra():
     eta0, mu = 0.1, 0.9
-    schedule = LrSchedule(eta0=eta0, a=10.0, b=0.75, momentum=mu,
-                          total_steps=2)
+    config = _schedule(2, eta0=eta0, lr_a=10.0, lr_b=0.75, momentum=mu)
     params = _scalar_params(1.0)
     velocity = zeros_like_params(params)
     g1, g2 = 0.5, -0.25
 
-    eta_used = sgd_step(params, _grad_like(params, bottleneck_w=g1), velocity, schedule, step=0)
-    assert eta_used == pytest.approx(eta0, abs=1e-18)  # p = 0 on the first step
+    assert config.eta_at(0) == eta0  # p = 0 on the first step
+    assert sgd_step(params, _grad_like(params, bottleneck_w=g1), velocity, config, step=0) is None
     theta1 = 1.0 - eta0 * g1
     assert params.weights[-2][0, 0] == pytest.approx(theta1, abs=1e-15)
 
-    sgd_step(params, _grad_like(params, bottleneck_w=g2), velocity, schedule, step=1)
+    sgd_step(params, _grad_like(params, bottleneck_w=g2), velocity, config, step=1)
     eta1 = eta0 / (1.0 + 10.0 * 0.5) ** 0.75
     theta2 = theta1 - eta1 * (mu * g1 + g2)
     assert params.weights[-2][0, 0] == pytest.approx(theta2, abs=1e-15)
@@ -322,33 +329,36 @@ def test_sgd_momentum_algebra():
 
 
 def test_sgd_logits_multiplier():
-    schedule = LrSchedule(eta0=0.01, total_steps=10, logits_lr_mult=10.0)
+    config = _schedule(10, eta0=0.01, logits_lr_mult=10.0)
     params = _scalar_params(0.0)
     velocity = zeros_like_params(params)
-    sgd_step(params, _grad_like(params, bottleneck_w=1.0, logits_w=1.0), velocity, schedule, 0)
+    sgd_step(params, _grad_like(params, bottleneck_w=1.0, logits_w=1.0), velocity, config, 0)
     moved_b = -params.weights[-2][0, 0]
     moved_l = -params.weights[-1][0, 0]
     assert moved_l == pytest.approx(10.0 * moved_b, rel=1e-12)
 
 
 def test_sgd_divergence_detection():
-    schedule = LrSchedule(eta0=10.0, total_steps=10)
+    config = _schedule(10, eta0=10.0)
     params = _scalar_params(1.0)
     velocity = zeros_like_params(params)
     bad = _grad_like(params, bottleneck_w=np.inf)
-    with pytest.raises(ValueError, match="divergence: non-finite gradient"):
-        sgd_step(params, bad, velocity, schedule, 0)
+    with pytest.raises(ValueError, match="divergence: non-finite gradient at step 0"):
+        sgd_step(params, bad, velocity, config, 0)
     huge = _grad_like(params, logits_w=np.finfo(float).max)
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="divergence: non-finite parameters"):
-            sgd_step(params, huge, velocity, schedule, 0)
+        with pytest.raises(ValueError, match="divergence: non-finite parameters at step 0"):
+            sgd_step(params, huge, velocity, config, 0)
 
 
 def test_sgd_step_bounds():
-    schedule = LrSchedule(total_steps=5)
+    config = _schedule(5)
     params = _scalar_params(1.0)
-    with pytest.raises(ValueError, match="outside schedule"):
-        sgd_step(params, zeros_like_params(params), zeros_like_params(params), schedule, 5)
+    for step in (-1, 5):
+        with pytest.raises(ValueError, match=f"step {step} outside schedule of 5 steps"):
+            sgd_step(params, zeros_like_params(params), zeros_like_params(params), config, step)
+        with pytest.raises(ValueError, match="outside schedule"):
+            config.eta_at(step)
 
 
 def test_training_drives_loss_down_on_separable_data():
@@ -360,11 +370,11 @@ def test_training_drives_loss_down_on_separable_data():
     y = np.repeat([0, 1], 20)
     params = init_params(rng, 2, (8,), 4, 2)
     velocity = zeros_like_params(params)
-    schedule = LrSchedule(eta0=1e-2, total_steps=2000)
+    config = _schedule(2000, eta0=1e-2)
     for step in range(2000):
         stack = forward(params, x)
         grads = backward(params, stack, {-1: cross_entropy_grad(stack.probs, y)})
-        sgd_step(params, grads, velocity, schedule, step)
+        sgd_step(params, grads, velocity, config, step)
     final = cross_entropy(forward(params, x).probs, y)
     assert final < 0.05
 
@@ -499,12 +509,12 @@ def test_every_container_is_views_of_one_flat_vector(tmp_path):
     assert params.flat[-3] == 7.0
 
 
-def _reference_sgd_step(params, grads, velocity, schedule, step):
+def _reference_sgd_step(params, grads, velocity, config, step):
     """The update written per array: v <- mu v + g; theta <- theta - eta*mult*v."""
-    eta = schedule.eta_at(step / schedule.total_steps)
-    mults = [1.0] * (len(_arrays(params)) - 2) + [schedule.logits_lr_mult] * 2
+    eta = config.eta0 / (1.0 + config.lr_a * (step / config.total_steps)) ** config.lr_b
+    mults = [1.0] * (len(_arrays(params)) - 2) + [config.logits_lr_mult] * 2
     for theta, g, v, mult in zip(_arrays(params), _arrays(grads), _arrays(velocity), mults):
-        v *= schedule.momentum
+        v *= config.momentum
         v += g
         theta -= (eta * mult) * v
 
@@ -514,11 +524,11 @@ def test_sgd_step_matches_per_array_reference_bit_for_bit():
     params = _tiny_params(rng, hidden=(6, 5))
     ref = params.copy()
     velocity, ref_velocity = zeros_like_params(params), zeros_like_params(params)
-    schedule = LrSchedule(eta0=0.05, momentum=0.9, total_steps=7, logits_lr_mult=10.0)
+    config = _schedule(7, eta0=0.05, momentum=0.9, logits_lr_mult=10.0)
     for step in range(7):
         grads = ModelParams.on_buffer(rng.normal(size=params.flat.size), params)
-        sgd_step(params, grads, velocity, schedule, step)
-        _reference_sgd_step(ref, grads, ref_velocity, schedule, step)
+        sgd_step(params, grads, velocity, config, step)
+        _reference_sgd_step(ref, grads, ref_velocity, config, step)
         assert np.array_equal(params.flat, ref.flat)
         assert np.array_equal(velocity.flat, ref_velocity.flat)
 

@@ -125,11 +125,14 @@ def test_config_round_trip_and_unknown_keys():
         TrainConfig.from_dict({"method": "can", "zeppelin": 1})
 
 
-def test_config_total_steps_floor():
-    assert _config(loops=0).total_steps == 1
+def test_config_total_steps_has_no_floor():
+    assert _config(loops=0).total_steps == 0
     assert _config(loops=3, steps_per_loop=7).total_steps == 21
-    schedule = _config(loops=4, steps_per_loop=5, eta0=0.5).schedule()
-    assert schedule.total_steps == 20 and schedule.eta0 == 0.5
+    config = _config(loops=4, steps_per_loop=5, eta0=0.5)
+    assert config.total_steps == 20 and config.eta_at(0) == 0.5
+    assert 0.0 < config.eta_at(19) < 0.5
+    with pytest.raises(ValueError, match="step 20 outside schedule of 20 steps"):
+        config.eta_at(20)
 
 
 def test_loop_metrics_record_has_no_wall_time():
@@ -179,6 +182,16 @@ def test_train_single_step_run():
     assert result.summary["steps_run"] == 1
     assert len(result.metrics) == 1
     assert result.metrics[0].learning_rate == pytest.approx(config.eta0, abs=1e-18)
+
+
+def test_every_loop_records_the_rate_of_its_first_step():
+    src, tgt = _blobs()
+    config = _config(loops=3, steps_per_loop=4)
+    result = train(config, src, tgt)
+    assert [m.learning_rate for m in result.metrics] == [
+        config.eta_at(loop * config.steps_per_loop) for loop in range(config.loops)
+    ]
+    assert len(set(m.learning_rate for m in result.metrics)) == config.loops
 
 
 @pytest.mark.parametrize("method", ["can", "intra-only", "no-ao", "no-cas"])
