@@ -292,19 +292,12 @@ def main(argv=None) -> int:
         stream=sys.stderr,
     )
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
         if args.command == "train":
             return cmd_train(args, parser)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args)
-        parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return {"gen": cmd_gen, "eval": cmd_eval, "gradcheck": cmd_gradcheck}[args.command](args)
+    except (ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

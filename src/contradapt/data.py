@@ -22,6 +22,20 @@ UNLABELED = -1
 _WRITE_CHUNK_ROWS = 4096
 
 
+def int_labels(labels) -> np.ndarray:
+    """``labels`` as an int array, refusing values that are not whole numbers
+    or do not fit int64 (``np.asarray(labels, dtype=int)`` would truncate
+    them or overflow)."""
+    y = np.asarray(labels)
+    if y.dtype.kind in "bi":
+        return y.astype(int, copy=False)
+    f = y.astype(float)
+    whole = (np.floor(f) == f) & (f >= -(2.0**63)) & (f < 2.0**63)
+    if not whole.all():
+        raise ValueError(f"labels {y[~whole][:5].tolist()} are not whole numbers within int64")
+    return f.astype(int)
+
+
 @dataclass
 class Dataset:
     """Feature matrix plus integer labels for a single domain.
@@ -38,7 +52,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
+        self.labels = int_labels(self.labels)
         if self.features.ndim != 2 or self.features.shape[0] < 1:
             raise ValueError("features must be a nonempty (n, d) array")
         if self.labels.shape != (self.features.shape[0],):
@@ -292,7 +306,8 @@ def _parse_plain(fh):
         return None
     domains = body["d"]
     if (len(body) != count[0] or len(body) == 0 or domains[0] not in DOMAINS
-            or (domains != domains[0]).any() or (body["y"] < UNLABELED).any()):
+            or (domains != domains[0]).any() or (body["y"] < UNLABELED).any()
+            or not np.isfinite(body["x"]).all()):
         return None
     return np.ascontiguousarray(body["x"]), np.ascontiguousarray(body["y"]), str(domains[0])
 
@@ -320,9 +335,12 @@ def _parse_rows(fh, path):
             feats.append([float(v) for v in row[:dim]])
         except ValueError:
             raise ValueError(f"{path}: line {line_no}: bad feature value") from None
+        if not all(map(math.isfinite, feats[-1])):
+            raise ValueError(f"{path}: line {line_no}: non-finite feature value")
         try:
             label = int(row[dim])
-        except ValueError:
+            np.int64(label)  # OverflowError outside int64
+        except (ValueError, OverflowError):
             raise ValueError(f"{path}: line {line_no}: bad label") from None
         if label < UNLABELED:
             raise ValueError(f"{path}: line {line_no}: label below -1")

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import int_labels
 from .kernels import KernelSpec, kernel_value_and_grad
 
 
@@ -58,8 +59,8 @@ class LabeledBatch:
     def __post_init__(self) -> None:
         self.source_features = [np.asarray(f, dtype=float) for f in self.source_features]
         self.target_features = [np.asarray(f, dtype=float) for f in self.target_features]
-        self.source_labels = np.asarray(self.source_labels, dtype=int)
-        self.target_labels = np.asarray(self.target_labels, dtype=int)
+        self.source_labels = int_labels(self.source_labels)
+        self.target_labels = int_labels(self.target_labels)
         self.class_set = tuple(sorted(int(c) for c in self.class_set))
         if len(self.class_set) != len(set(self.class_set)):
             raise ValueError("class_set holds duplicate ids")
@@ -71,17 +72,6 @@ class LabeledBatch:
                 raise ValueError("layer features must be 2-d arrays")
             if s.shape[0] != n_s or t.shape[0] != n_t:
                 raise ValueError("layer row counts disagree with label counts")
-
-    def validate(self, require_both_domains: bool = True) -> None:
-        """Check label/class consistency; optionally demand two-sided coverage."""
-        classes = set(self.class_set)
-        present = set(self.source_labels.tolist()) | set(self.target_labels.tolist())
-        if not present <= classes:
-            raise ValueError(f"labels {sorted(present - classes)} outside class_set")
-        if require_both_domains:
-            for c in self.class_set:
-                if not (self.source_labels == c).any() or not (self.target_labels == c).any():
-                    raise ValueError("empty class pair")
 
 
 @dataclass
@@ -112,12 +102,17 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
 def _upstreams(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
     """Upstream matrices ``U`` of the ss, tt and st kernel blocks: a layer's
     discrepancy is ``<U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>``."""
-    batch.validate(require_both_domains=not skip_missing_pairs)
     classes = np.asarray(batch.class_set, dtype=int)
     ms = (batch.source_labels[:, None] == classes[None, :]).astype(float)
     mt = (batch.target_labels[:, None] == classes[None, :]).astype(float)
+    outside = np.concatenate([batch.source_labels[~ms.any(axis=1)],
+                              batch.target_labels[~mt.any(axis=1)]])
+    if outside.size:
+        raise ValueError(f"labels {np.unique(outside).tolist()} outside class_set")
     ns = ms.sum(axis=0)
     nt = mt.sum(axis=0)
+    if not (skip_missing_pairs or (ns.all() and nt.all())):
+        raise ValueError("empty class pair")
     estimable = (ns > 0)[:, None] & (nt > 0)[None, :]
     eye = np.eye(len(classes), dtype=bool)
     intra_mask = estimable & eye

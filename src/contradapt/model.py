@@ -3,11 +3,13 @@
 The network is one ordered list of affine layers: ReLU hidden layers, then a
 linear bottleneck, then linear logits.  Init, forward, backward, the SGD
 update and checkpoints all walk that one list, and a forward pass caches one
-output per layer.  ``backward`` takes loss gradients keyed by layer index, so
-a loss on any layer's output (cross-entropy at the logits, a discrepancy at a
-tapped layer) enters there.  ``sgd_step`` reads the learning rate, momentum
-and logits multiplier from the run's ``trainer.TrainConfig``.  Everything is
-plain float64 numpy; no autodiff framework is involved.
+output per layer and nothing else.  ``cross_entropy(logits, labels)`` forms
+the loss and its gradient at the logits from one softmax.  ``backward`` takes
+loss gradients keyed by layer index, so a loss on any layer's output
+(cross-entropy at the logits, a discrepancy at a tapped layer) enters there.
+``sgd_step`` reads the learning rate, momentum and logits multiplier from the
+run's ``trainer.TrainConfig``.  Everything is plain float64 numpy; no autodiff
+framework is involved.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import int_labels
 
 _LOG_EPS = 1e-12
 CHECKPOINT_HEADER = "contradapt-checkpoint v1"
@@ -73,13 +77,11 @@ class FeatureStack:
     """Cached activations of one forward pass.
 
     ``outputs[i]`` is layer ``i``'s output, after the ReLU for hidden layers,
-    so ``outputs[-2]`` is the bottleneck and ``outputs[-1]`` the logits;
-    ``probs`` is the softmax of the logits.
+    so ``outputs[-2]`` is the bottleneck and ``outputs[-1]`` the logits.
     """
 
     inputs: np.ndarray
     outputs: list[np.ndarray]
-    probs: np.ndarray
 
 
 def init_params(
@@ -143,10 +145,7 @@ def forward(params: ModelParams, inputs) -> FeatureStack:
     logits = _trunk(params, x, outputs) @ params.weights[-1]
     logits += params.biases[-1]
     outputs.append(logits)
-    probs = logits - logits.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return FeatureStack(inputs=x, outputs=outputs, probs=probs)
+    return FeatureStack(inputs=x, outputs=outputs)
 
 
 def embed(params: ModelParams, inputs) -> np.ndarray:
@@ -168,32 +167,28 @@ def embed(params: ModelParams, inputs) -> np.ndarray:
     return out
 
 
-def _check_labels(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    y = np.asarray(labels, dtype=int)
-    if probs.ndim != 2 or probs.shape[0] < 1:
-        raise ValueError("probs must be a nonempty (n, M) array")
-    if y.shape != (probs.shape[0],):
+def cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood of ``labels`` under the softmax of
+    ``logits``, and its gradient w.r.t. the logits, ``(softmax - onehot) / n``.
+
+    One softmax serves both; log arguments are clamped at 1e-12.
+    """
+    z = np.asarray(logits, dtype=float)
+    if z.ndim != 2 or z.shape[0] < 1:
+        raise ValueError("logits must be a nonempty (n, M) array")
+    y = int_labels(labels)
+    if y.shape != (z.shape[0],):
         raise ValueError("one label per row required")
-    if y.size and (y.min() < 0 or y.max() >= probs.shape[1]):
+    if y.min() < 0 or y.max() >= z.shape[1]:
         raise ValueError("labels outside [0, n_classes)")
-    return y
-
-
-def cross_entropy(probs, labels) -> float:
-    """Mean negative log-likelihood; log arguments are clamped at 1e-12."""
-    p = np.asarray(probs, dtype=float)
-    y = _check_labels(p, labels)
-    picked = p[np.arange(p.shape[0]), y]
-    return float(-np.mean(np.log(np.maximum(picked, _LOG_EPS))))
-
-
-def cross_entropy_grad(probs, labels) -> np.ndarray:
-    """Gradient of mean CE w.r.t. logits: (softmax - onehot) / n."""
-    p = np.asarray(probs, dtype=float)
-    y = _check_labels(p, labels)
-    g = p.copy()
-    g[np.arange(p.shape[0]), y] -= 1.0
-    return g / p.shape[0]
+    p = z - z.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    rows = np.arange(z.shape[0])
+    loss = float(-np.mean(np.log(np.maximum(p[rows, y], _LOG_EPS))))
+    p[rows, y] -= 1.0
+    p /= z.shape[0]
+    return loss, p
 
 
 def _layer_names(n_layers: int) -> list[str]:

@@ -36,7 +36,6 @@ from .model import (
     ModelParams,
     backward,
     cross_entropy,
-    cross_entropy_grad,
     embed,
     forward,
     init_params,
@@ -181,10 +180,7 @@ class TrainConfig:
         return self.eta0 / (1.0 + self.lr_a * (step / self.total_steps)) ** self.lr_b
 
     def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["hidden_sizes"] = list(self.hidden_sizes)
-        out["bandwidth_multipliers"] = list(self.bandwidth_multipliers)
-        return out
+        return dataclasses.asdict(self)  # JSON writes the tuple fields as lists
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TrainConfig":
@@ -316,8 +312,9 @@ def add_cdd_grads(grads: ModelParams, params: ModelParams, specs, stack_s, stack
 def add_ce_grads(grads: ModelParams, params: ModelParams, inputs, labels) -> float:
     """Add the gradient of mean cross-entropy into ``grads``; returns the loss."""
     stack = forward(params, inputs)
-    backward(params, stack, {-1: cross_entropy_grad(stack.probs, labels)}, out=grads)
-    return cross_entropy(stack.probs, labels)
+    loss, logits_grad = cross_entropy(stack.outputs[-1], labels)
+    backward(params, stack, {-1: logits_grad}, out=grads)
+    return loss
 
 
 def _forward_pair(state: TrainState, batch: CasBatch):

@@ -223,10 +223,14 @@ def csv_reader_load(path) -> Dataset:
                 feats.append([float(v) for v in row[:dim]])
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: bad feature value") from None
+            if not all(math.isfinite(v) for v in feats[-1]):
+                raise ValueError(f"{path}: line {line_no}: non-finite feature value")
             try:
                 label = int(row[dim])
             except ValueError:
                 raise ValueError(f"{path}: line {line_no}: bad label") from None
+            if not -(2**63) <= label < 2**63:  # outside int64
+                raise ValueError(f"{path}: line {line_no}: bad label")
             if label < -1:
                 raise ValueError(f"{path}: line {line_no}: label below -1")
             labels.append(label)

@@ -275,6 +275,20 @@ def test_eval_failure_paths(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1.0,2.0,99999999999999999999,target", "bad label"),  # was an OverflowError traceback
+    ("1e400,2.0,0,target", "non-finite feature value"),
+    ("nan,2.0,0,target", "non-finite feature value"),
+])
+def test_eval_names_file_and_line_of_out_of_range_values(tmp_path, capsys, row, message):
+    checkpoint = tmp_path / "checkpoint.txt"
+    save_checkpoint(init_params(np.random.default_rng(0), 2, (), 2, 2), checkpoint)
+    data = tmp_path / "big.csv"
+    data.write_text("feature_0,feature_1,label,domain\n0.5,0.5,1,target\n" + row + "\n")
+    assert main(["eval", "--checkpoint", str(checkpoint), "--data", str(data)]) == 1
+    assert capsys.readouterr().err == f"error: {data}: line 3: {message}\n"
+
+
 def test_gradcheck_passes_and_reports(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -279,9 +280,12 @@ _READ_CASES = {
     "label_plus_padded": _HEAD + "1.0,2.0, +1 ,source\n",
     "label_leading_zeros": _HEAD + "1.0,2.0,007,source\n",
     "label_huge": _HEAD + "1.0,2.0,99999999999999999999,source\n",
+    "label_int64_max": _HEAD + "1.0,2.0,9223372036854775807,source\n",
+    "label_past_int64": _HEAD + "1.0,2.0,9223372036854775808,source\n",
     "feature_padded": _HEAD + " 1.5\x0c,\x1c2.5 ,0,target\n",
     "feature_nan": _HEAD + "nan,2.0,0,source\n",
     "feature_inf": _HEAD + "1.0,-Infinity,0,source\n",
+    "feature_overflow": _HEAD + _ROW + "1e400,2.0,0,source\n",
     "feature_hex": _HEAD + "0x10,2.0,0,source\n",
     "empty_field": _HEAD + "1.0,,0,source\n",
     "empty_domain": _HEAD + "1.0,2.0,0,\n",
@@ -299,7 +303,7 @@ _READ_CASES = {
 def _outcome(load, path):
     try:
         ds = load(path)
-    except (ValueError, OverflowError) as exc:  # a huge label overflows int64
+    except ValueError as exc:
         return type(exc), str(exc)
     return ds
 
@@ -317,6 +321,33 @@ def test_load_csv_equals_csv_reader(tmp_path, name):
         assert got.domain == want.domain
         assert got.features.dtype == np.float64 and got.features.flags.c_contiguous
         assert got.labels.dtype == want.labels.dtype
+
+
+@pytest.mark.parametrize("name, message", [
+    ("label_huge", "line 2: bad label"),
+    ("label_past_int64", "line 2: bad label"),
+    ("feature_nan", "line 2: non-finite feature value"),
+    ("feature_inf", "line 2: non-finite feature value"),
+    ("feature_overflow", "line 3: non-finite feature value"),
+])
+def test_load_csv_names_file_and_line_of_out_of_range_values(tmp_path, name, message):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(_READ_CASES[name].encode("ascii"))
+    with pytest.raises(ValueError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_dataset_rejects_labels_that_are_not_int64_whole_numbers():
+    # [0.5, 1.7] used to become [0, 1], and 1e20 raised OverflowError
+    with pytest.raises(ValueError, match=re.escape("labels [0.5, 1.7] are not whole numbers")):
+        Dataset(np.zeros((2, 2)), [0.5, 1.7], "source")
+    with pytest.raises(ValueError, match=re.escape("labels [1e+20] are not whole numbers")):
+        Dataset(np.zeros((2, 2)), [1e20, 0.0], "source")
+    with pytest.raises(ValueError, match="not whole numbers"):
+        Dataset(np.zeros((1, 2)), np.array([2**64 - 1], dtype=np.uint64), "source")
+    whole = Dataset(np.zeros((3, 2)), [1.0, -1.0, 0.0], "target")
+    assert whole.labels.dtype == np.int64 and np.array_equal(whole.labels, [1, -1, 0])
 
 
 def test_load_csv_non_ascii_raises_as_csv_reader(tmp_path):

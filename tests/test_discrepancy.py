@@ -241,6 +241,47 @@ def test_cdd_labels_must_lie_in_class_set():
         cdd([KernelSpec((1.0,))], batch)
 
 
+def _label_error(ys, yt, class_set, skip_missing_pairs):
+    """The label check written over sets: labels outside ``class_set`` first,
+    then, unless missing pairs are skipped, a class absent from either side."""
+    present = set(ys.tolist()) | set(yt.tolist())
+    if not present <= set(class_set):
+        return f"labels {sorted(present - set(class_set))} outside class_set"
+    if not skip_missing_pairs and any(c not in ys or c not in yt for c in class_set):
+        return "empty class pair"
+    return None
+
+
+def test_cdd_label_errors_equal_set_based_check():
+    rng = np.random.default_rng(23)
+    spec = KernelSpec((1.0,))
+    seen = set()
+    for trial in range(200):
+        class_set = tuple(sorted(rng.choice(5, size=rng.integers(0, 4), replace=False).tolist()))
+        ys = rng.integers(0, 5, size=rng.integers(0, 5))
+        yt = rng.integers(0, 5, size=rng.integers(0, 5))
+        skip = trial % 2 == 1
+        batch = LabeledBatch([rng.normal(size=(ys.size, 2))], [rng.normal(size=(yt.size, 2))],
+                             ys, yt, class_set)
+        want = _label_error(ys, yt, class_set, skip)
+        try:
+            cdd([spec], batch, skip_missing_pairs=skip)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, (ys, yt, class_set, skip)
+        seen.add(want if want is None or want == "empty class pair" else "outside")
+    assert seen == {None, "empty class pair", "outside"}
+
+
+def test_labeled_batch_rejects_labels_that_are_not_whole_numbers():
+    feats = [np.zeros((2, 2))]
+    with pytest.raises(ValueError, match=r"labels \[0\.5\] are not whole numbers"):
+        LabeledBatch(feats, feats, [0.5, 1.0], [0, 1], (0, 1))
+    batch = LabeledBatch(feats, feats, [0.0, 1.0], [1.0, 0.0], (0, 1))
+    assert batch.source_labels.dtype == np.int64
+
+
 def test_cdd_grad_matches_finite_differences():
     rng = np.random.default_rng(11)
     for trial in range(6):

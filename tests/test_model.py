@@ -13,7 +13,6 @@ from contradapt.model import (
     ModelParams,
     backward,
     cross_entropy,
-    cross_entropy_grad,
     embed,
     forward,
     init_params,
@@ -85,28 +84,45 @@ def test_init_params_bits_are_pinned(seed, shape, digest):
     assert hashlib.sha256(params.flat.tobytes()).hexdigest() == digest
 
 
-def test_forward_softmax_properties():
+def _softmax_of(logits):
+    """The softmax inside ``cross_entropy``, read off its gradient
+    ``(softmax - onehot) / n`` at the entries the one-hot leaves alone."""
+    n, m = logits.shape
+    p = np.empty((n, m))
+    for c in range(m):
+        p[:, c] = cross_entropy(logits, np.full(n, (c + 1) % m))[1][:, c] * n
+    return p
+
+
+def test_cross_entropy_softmax_properties():
     params = _tiny_params()
     x = np.random.default_rng(3).normal(size=(7, 3))
     stack = forward(params, x)
-    assert stack.probs.shape == (7, 3)
-    assert np.allclose(stack.probs.sum(axis=1), 1.0, atol=1e-12)
-    assert np.all(stack.probs > 0.0)
+    assert set(vars(stack)) == {"inputs", "outputs"}  # layer outputs only, no softmax
     assert [h.shape for h in stack.outputs] == [(7, 5), (7, 4), (7, 3)]
     for h in stack.outputs[:-2]:
         assert np.all(h >= 0.0)
+    probs = _softmax_of(stack.outputs[-1])
+    assert probs.shape == (7, 3)
+    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    assert np.all(probs > 0.0)
     # matches a plainly written softmax of the cached logits
     z = stack.outputs[-1]
     ref = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    assert np.allclose(stack.probs, ref, atol=1e-12)
+    assert np.allclose(probs, ref, atol=1e-12)
 
 
-def test_forward_handles_large_logits():
+def test_cross_entropy_handles_large_logits():
     params = _scalar_params(1.0)
     params.weights[-1][:] = np.array([[1000.0, -1000.0]])
-    stack = forward(params, [[1.0]])
-    assert np.isfinite(stack.probs).all()
-    assert stack.probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+    logits = forward(params, [[1.0]]).outputs[-1]
+    probs = _softmax_of(logits)
+    assert np.isfinite(probs).all()
+    assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+    for label, want in ((0, 0.0), (1, -math.log(1e-12))):
+        loss, grad = cross_entropy(logits, [label])
+        assert loss == pytest.approx(want, abs=1e-9)
+        assert np.isfinite(grad).all()
 
 
 def test_forward_validation():
@@ -145,11 +161,12 @@ def test_forward_and_embed_leave_inputs_unchanged(hidden):
 
 
 def test_cross_entropy_examples():
-    quarter = np.full((2, 4), 0.25)
-    assert cross_entropy(quarter, [0, 3]) == pytest.approx(1.3862943611198906, abs=1e-15)
-    assert cross_entropy([[0.7, 0.3]], [0]) == pytest.approx(0.35667494393873245, abs=1e-15)
-    # clamped at 1e-12 instead of diverging
-    assert cross_entropy([[0.0, 1.0]], [0]) == pytest.approx(-math.log(1e-12), abs=1e-9)
+    uniform = np.zeros((2, 4))
+    assert cross_entropy(uniform, [0, 3])[0] == pytest.approx(1.3862943611198906, abs=1e-15)
+    seven_three = [[math.log(0.7), math.log(0.3)]]
+    assert cross_entropy(seven_three, [0])[0] == pytest.approx(0.35667494393873245, abs=1e-15)
+    # softmax [exp(-1000), 1] rounds to [0, 1]; the log is clamped at 1e-12 instead of diverging
+    assert cross_entropy([[-1000.0, 0.0]], [0])[0] == pytest.approx(-math.log(1e-12), abs=1e-9)
 
 
 def test_cross_entropy_validation():
@@ -157,21 +174,55 @@ def test_cross_entropy_validation():
         cross_entropy([[0.5, 0.5]], [0, 1])
     with pytest.raises(ValueError, match="outside"):
         cross_entropy([[0.5, 0.5]], [2])
+    with pytest.raises(ValueError, match="outside"):
+        cross_entropy([[0.5, 0.5]], [-1])
+    for logits in ([0.5, 0.5], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="nonempty"):
+            cross_entropy(logits, [0])
 
 
-def test_cross_entropy_grad_matches_finite_differences():
+def test_cross_entropy_rejects_labels_that_are_not_int64_whole_numbers():
+    # 0.9 used to be truncated to class 0, and 1e20 overflowed
+    for labels, named in (([0.9], "[0.9]"), ([1e20], "[1e+20]"), ([np.nan], "[nan]")):
+        with pytest.raises(ValueError, match=re.escape(f"labels {named} are not whole numbers")):
+            cross_entropy([[0.5, 0.5]], labels)
+    whole, ints = cross_entropy([[0.0, 1.0]], [1.0]), cross_entropy([[0.0, 1.0]], [1])
+    assert whole[0] == ints[0] and np.array_equal(whole[1], ints[1])
+
+
+def test_cross_entropy_logits_gradient_matches_finite_differences():
     rng = np.random.default_rng(4)
-
-    def softmax(z):
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
     for _ in range(5):
         z = rng.normal(size=(6, 4))
         y = rng.integers(0, 4, size=6)
-        analytic = cross_entropy_grad(softmax(z), y)
-        fd = central_difference(lambda zz: cross_entropy(softmax(zz), y), z)
+        analytic = cross_entropy(z, y)[1]
+        fd = central_difference(lambda zz: cross_entropy(zz, y)[0], z)
         assert relative_gradient_error(analytic, fd) < 1e-6
+
+
+def test_cross_entropy_equals_the_two_pass_formula_bit_for_bit():
+    """One softmax gives the loss and gradient that a softmax in ``forward``,
+    a loss read off its picked entries and ``(p.copy() - onehot) / n`` gave."""
+    rng = np.random.default_rng(12)
+    params = _tiny_params(rng, n_classes=4)
+    for n in (1, 2, 7, 32, 48):
+        z = forward(params, rng.normal(scale=3.0, size=(n, 3))).outputs[-1]
+        z[0, 1] = -1000.0  # a picked probability that the 1e-12 clamp catches
+        y = rng.integers(0, 4, size=n)
+        y[0] = 1
+        before = z.copy()
+        p = z - z.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        rows = np.arange(n)
+        want_loss = float(-np.mean(np.log(np.maximum(p[rows, y], 1e-12))))
+        want_grad = p.copy()
+        want_grad[rows, y] -= 1.0
+        want_grad = want_grad / n
+        loss, grad = cross_entropy(z, y)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+        assert np.array_equal(z, before)  # the logits are read, never written
 
 
 def test_backward_matches_finite_differences_with_taps():
@@ -187,13 +238,13 @@ def test_backward_matches_finite_differences_with_taps():
         p = ModelParams.on_buffer(vec, params)
         stack = forward(p, x)
         return (
-            cross_entropy(stack.probs, y)
+            cross_entropy(stack.outputs[-1], y)[0]
             + beta * float(np.sum(tap_b * stack.outputs[-2]))
             + beta * float(np.sum(tap_l * stack.outputs[-1]))
         )
 
     stack = forward(params, x)
-    grads = backward(params, stack, {-1: cross_entropy_grad(stack.probs, y) + beta * tap_l,
+    grads = backward(params, stack, {-1: cross_entropy(stack.outputs[-1], y)[1] + beta * tap_l,
                                      -2: beta * tap_b})
     fd = central_difference(loss_at, params.flat, step=1e-6)
     assert relative_gradient_error(grads.flat, fd) < 1e-5
@@ -250,7 +301,7 @@ def test_backward_equals_layerwise_reference_bit_for_bit(hidden):
     rng = np.random.default_rng(11)
     params = _tiny_params(rng, hidden=hidden)
     stack = forward(params, rng.normal(size=(6, 3)))
-    ce = cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6))
+    ce = cross_entropy(stack.outputs[-1], rng.integers(0, 3, size=6))[1]
     tap_b, tap_l = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
     ce[0, 0], tap_l[1, 1], tap_b[2, 2] = -0.0, -0.0, -0.0  # signed zeros must come out alike
     beta = 0.3
@@ -373,9 +424,9 @@ def test_training_drives_loss_down_on_separable_data():
     config = _schedule(2000, eta0=1e-2)
     for step in range(2000):
         stack = forward(params, x)
-        grads = backward(params, stack, {-1: cross_entropy_grad(stack.probs, y)})
+        grads = backward(params, stack, {-1: cross_entropy(stack.outputs[-1], y)[1]})
         sgd_step(params, grads, velocity, config, step)
-    final = cross_entropy(forward(params, x).probs, y)
+    final = cross_entropy(forward(params, x).outputs[-1], y)[0]
     assert final < 0.05
 
 
@@ -400,7 +451,7 @@ def test_backward_into_out_equals_add_params_bit_for_bit():
     params = _tiny_params(rng, hidden=(5, 4))
     x = rng.normal(size=(6, 3))
     stack = forward(params, x)
-    ce = cross_entropy_grad(stack.probs, rng.integers(0, 3, size=6))
+    ce = cross_entropy(stack.outputs[-1], rng.integers(0, 3, size=6))[1]
     tap_b, tap_l, beta = rng.normal(size=(6, 4)), rng.normal(size=(6, 3)), 0.3
     taps = {-1: ce + beta * tap_l, -2: beta * tap_b}
     dst = ModelParams.on_buffer(rng.normal(size=params.flat.size), params)

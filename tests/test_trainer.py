@@ -12,7 +12,6 @@ from contradapt.model import (
     ModelParams,
     backward,
     cross_entropy,
-    cross_entropy_grad,
     forward,
     init_params,
     zeros_like_params,
@@ -340,14 +339,14 @@ def test_gradcheck_composite_matches_step_composition_bit_for_bit():
     # The same step spelled out with the separate value and gradient calls.
     stack_ce, stack_s, stack_t = forward(params, ce_x), forward(params, xs), forward(params, xt)
     batch = LabeledBatch(stack_s.outputs[-2:], stack_t.outputs[-2:], ys, yt, (0, 1))
+    ce_loss, ce_grad = cross_entropy(stack_ce.outputs[-1], ce_y)
     expected = zeros_like_params(params)
-    add_params_(expected, backward(params, stack_ce,
-                                   {-1: cross_entropy_grad(stack_ce.probs, ce_y)}))
+    add_params_(expected, backward(params, stack_ce, {-1: ce_grad}))
     layer_grads = cdd_grad(specs, batch)
     for side, stack in enumerate((stack_s, stack_t)):
         add_params_(expected, backward(params, stack, {-1: beta * layer_grads[1][side],
                                                        -2: beta * layer_grads[0][side]}))
-    assert loss == cross_entropy(stack_ce.probs, ce_y) + beta * cdd(specs, batch).total
+    assert loss == ce_loss + beta * cdd(specs, batch).total
     assert np.array_equal(grads.flat, expected.flat)
 
 
