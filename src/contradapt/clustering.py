@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import int_labels
+
 _NORM_EPS = 1e-12
 
 
@@ -68,7 +70,7 @@ def source_class_centers(features, labels, n_classes: int) -> np.ndarray:
         ValueError: if some class id in ``range(n_classes)`` has no sample.
     """
     x = np.asarray(features, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = int_labels(labels)
     if x.ndim != 2 or y.shape != (x.shape[0],):
         raise ValueError("features must be (n, d) with one label per row")
     counts = np.bincount(y, minlength=n_classes)

@@ -30,6 +30,7 @@ the case of one class present on both sides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,25 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
     return cdd([spec], batch).total
 
 
-def _upstreams(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
+# Two layouts: a run's training batches (one layout while the chosen classes
+# stay the same) and its cdd_g probe.  Every entry kept raises the process's
+# peak memory, so the memo holds no more.
+@functools.lru_cache(maxsize=2)
+def _upstreams(source_labels: bytes, target_labels: bytes, class_set: tuple[int, ...],
+               skip_missing_pairs: bool, intra_only: bool):
     """Upstream matrices ``U`` of the ss, tt and st kernel blocks: a layer's
-    discrepancy is ``<U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>``."""
-    classes = np.asarray(batch.class_set, dtype=int)
-    ms = (batch.source_labels[:, None] == classes[None, :]).astype(float)
-    mt = (batch.target_labels[:, None] == classes[None, :]).astype(float)
-    outside = np.concatenate([batch.source_labels[~ms.any(axis=1)],
-                              batch.target_labels[~mt.any(axis=1)]])
+    discrepancy is ``<U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>``.
+
+    They depend on the labels alone (passed as the bytes of ``int`` arrays),
+    so one build serves every step with the same label layout; the returned
+    arrays are read-only.  Errors are raised, not cached.
+    """
+    ys = np.frombuffer(source_labels, dtype=int)
+    yt = np.frombuffer(target_labels, dtype=int)
+    classes = np.asarray(class_set, dtype=int)
+    ms = (ys[:, None] == classes[None, :]).astype(float)
+    mt = (yt[:, None] == classes[None, :]).astype(float)
+    outside = np.concatenate([ys[~ms.any(axis=1)], yt[~mt.any(axis=1)]])
     if outside.size:
         raise ValueError(f"labels {np.unique(outside).tolist()} outside class_set")
     ns = ms.sum(axis=0)
@@ -131,6 +143,8 @@ def _upstreams(batch: LabeledBatch, skip_missing_pairs: bool, intra_only: bool):
     u_ss = (ms * (w.sum(axis=1) / ns_safe**2)[None, :]) @ ms.T
     u_tt = (mt * (w.sum(axis=0) / nt_safe**2)[None, :]) @ mt.T
     u_st = -2.0 * (ms @ (w / np.outer(ns_safe, nt_safe)) @ mt.T)
+    for u in (u_ss, u_tt, u_st):
+        u.flags.writeable = False
     return u_ss, u_tt, u_st
 
 
@@ -145,7 +159,8 @@ def cdd(
 
     Each kernel block of each layer is evaluated once, by
     ``kernel_value_and_grad`` against its upstream matrix, and serves both
-    the value and the gradient.
+    the value and the gradient.  The upstream matrices are built once per
+    label layout and reused by later calls with the same labels and flags.
 
     Args:
         specs: a sequence of one KernelSpec per layer.
@@ -156,7 +171,8 @@ def cdd(
     """
     if isinstance(specs, KernelSpec) or len(specs) != len(batch.source_features):
         raise ValueError("one KernelSpec required per layer")
-    u_ss, u_tt, u_st = _upstreams(batch, skip_missing_pairs, intra_only)
+    u_ss, u_tt, u_st = _upstreams(batch.source_labels.tobytes(), batch.target_labels.tobytes(),
+                                  batch.class_set, skip_missing_pairs, intra_only)
     total, grads = 0.0, []
     for spec, s, t in zip(specs, batch.source_features, batch.target_features):
         v_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)

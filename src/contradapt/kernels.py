@@ -42,12 +42,19 @@ class KernelSpec:
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances between rows of ``a`` and ``b``."""
-    aa = np.sum(a * a, axis=1)[:, None]
-    bb = np.sum(b * b, axis=1)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
+    """Pairwise squared Euclidean distances between rows of ``a`` and ``b``.
+
+    Computes ``(|a|^2 + |b|^2) - 2 a.b`` in place in the result buffer; a
+    self block (``b is a``) computes its row norms once.
+    """
+    aa = np.sum(a * a, axis=1)
+    bb = aa if b is a else np.sum(b * b, axis=1)
+    d2 = np.add(aa[:, None], bb[None, :])
+    ab = a @ b.T
+    ab *= 2.0
+    d2 -= ab
     # Guard the tiny negatives produced by cancellation.
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _as_rows(x, width: int = 0) -> np.ndarray:
@@ -107,7 +114,8 @@ def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream):
     sums.  Gradient components are reduced along the leading axis in order,
     so they equal a loop over components bit for bit.  (Exception: NumPy sums
     pairwise when a result has a single element and there are 8 or more
-    components.)
+    components.)  ``S`` is formed in one buffer: the scaled distances, then
+    ``exp``, ``* (w / s2)`` and ``* upstream`` in place, in that order.
 
     Returns:
         ``(value, (grad_a, grad_b))``: the float ``sum(upstream * K)`` and
@@ -119,9 +127,14 @@ def kernel_value_and_grad(spec: KernelSpec, features_a, features_b, upstream):
         raise ValueError(f"upstream shape {up.shape} does not match {(a.shape[0], b.shape[0])}")
     w = 1.0 / len(spec.bandwidths)  # every entry of spec.weights
     s2 = np.asarray(spec.bandwidths)[:, None, None]
-    s = up * ((w / s2) * np.exp(squared_distances(a, b) / (-2.0 * s2)))
+    s = np.divide(squared_distances(a, b), -2.0 * s2)
+    np.exp(s, out=s)
+    s *= w / s2
+    s *= up
     row_sums = s.sum(axis=2)
     value = float(s2[:, 0, 0] @ row_sums.sum(axis=1))
-    grad_a = (s @ b - row_sums[..., None] * a).sum(axis=0)
-    grad_b = (s.transpose(0, 2, 1) @ a - s.sum(axis=1)[..., None] * b).sum(axis=0)
-    return value, (grad_a, grad_b)
+    grad_a = s @ b
+    grad_a -= row_sums[..., None] * a
+    grad_b = s.transpose(0, 2, 1) @ a
+    grad_b -= s.sum(axis=1)[..., None] * b
+    return value, (grad_a.sum(axis=0), grad_b.sum(axis=0))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import int_labels
+
 
 @dataclass
 class BatchPlan:
@@ -73,9 +75,9 @@ def class_aware_batch(
     eligible = np.asarray(sorted(int(c) for c in eligible_classes), dtype=int)
     if eligible.size == 0:
         raise ValueError("no eligible classes to sample from")
-    source_labels = np.asarray(source_labels, dtype=int)
+    source_labels = int_labels(source_labels)
     target_indices = np.asarray(target_indices, dtype=int)
-    target_labels = np.asarray(target_labels, dtype=int)
+    target_labels = int_labels(target_labels)
     if target_indices.shape != target_labels.shape:
         raise ValueError("target_indices and target_labels must align")
     if eligible.size > plan.classes_per_batch:

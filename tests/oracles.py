@@ -4,11 +4,14 @@ Everything here is written as a literal transcription of the definitions --
 scalar loops, no vectorization -- so agreement with the library is evidence,
 not tautology.  The ``loop_kernel_*`` references are the exception: they
 loop over mixture components on whole matrices, the arithmetic the batched
-library kernels must reproduce bit for bit.  So is ``layerwise_backward``,
-the backward pass written out one layer at a time, which the library's
-single loop must match bit for bit.  The CSV writer and reader are the
-``csv``-module implementations the faster library I/O must match byte for
-byte and value for value, error messages included.
+library kernels must reproduce bit for bit.  So are
+``expression_squared_distances`` and ``expression_kernel_value_and_grad``,
+the kernel written as whole-array expressions with a fresh array per stage,
+which the in-place library kernel must equal bit for bit, and
+``layerwise_backward``, the backward pass written out one layer at a time,
+which the library's single loop must match bit for bit.  The CSV writer and
+reader are the ``csv``-module implementations the faster library I/O must
+match byte for byte and value for value, error messages included.
 """
 
 from __future__ import annotations
@@ -54,6 +57,26 @@ def loop_kernel_matrix_grad(spec, a, b, upstream):
         grad_a += s @ b - s.sum(axis=1)[:, None] * a
         grad_b += s.T @ a - s.sum(axis=0)[:, None] * b
     return grad_a, grad_b
+
+
+def expression_squared_distances(a, b) -> np.ndarray:
+    """``squared_distances`` as one expression, both row norms computed."""
+    aa = np.sum(a * a, axis=1)[:, None]
+    bb = np.sum(b * b, axis=1)[None, :]
+    d2 = aa + bb - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def expression_kernel_value_and_grad(spec, a, b, upstream):
+    """``kernel_value_and_grad`` on 2-d float inputs, each stage a new array."""
+    w = 1.0 / len(spec.bandwidths)
+    s2 = np.asarray(spec.bandwidths)[:, None, None]
+    s = upstream * ((w / s2) * np.exp(expression_squared_distances(a, b) / (-2.0 * s2)))
+    row_sums = s.sum(axis=2)
+    value = float(s2[:, 0, 0] @ row_sums.sum(axis=1))
+    grad_a = (s @ b - row_sums[..., None] * a).sum(axis=0)
+    grad_b = (s.transpose(0, 2, 1) @ a - s.sum(axis=1)[..., None] * b).sum(axis=0)
+    return value, (grad_a, grad_b)
 
 
 def naive_mmd(spec, source, target) -> float:

@@ -74,6 +74,13 @@ def test_source_class_centers_errors():
         source_class_centers([[1.0, 0.0]], [0, 1], 1)
 
 
+def test_source_class_centers_rejects_labels_that_are_not_whole_numbers():
+    with pytest.raises(ValueError, match=r"labels \[0\.9, 1\.2\] are not whole numbers"):
+        source_class_centers(np.eye(2), [0.9, 1.2], 2)
+    whole = source_class_centers(np.eye(2), [1.0, 0.0], 2)
+    assert np.array_equal(whole, source_class_centers(np.eye(2), [1, 0], 2))
+
+
 def test_group_sums_equal_add_at_bit_for_bit():
     rng = np.random.default_rng(12)
     n, d, m = 400, 5, 9

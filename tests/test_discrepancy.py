@@ -5,6 +5,7 @@ import pytest
 
 from contradapt.discrepancy import (
     LabeledBatch,
+    _upstreams,
     cdd,
     cdd_grad,
     mmd_squared,
@@ -365,3 +366,61 @@ def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
         assert len(both.grads) == len(dims)
         for (gs, gt), (rs, rt) in zip(both.grads, cdd_grad(specs, batch, **kw)):
             assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
+
+
+def _memo_key(batch, intra_only=False):
+    """``_upstreams``'s arguments for ``cdd(..., intra_only)`` on ``batch``."""
+    return (batch.source_labels.tobytes(), batch.target_labels.tobytes(), batch.class_set,
+            False, intra_only)
+
+
+def test_cdd_repeated_on_one_batch_reuses_the_upstreams_bit_for_bit():
+    rng = np.random.default_rng(41)
+    batch = _batch(rng, n_classes=3, per_side=(4, 5), dims=(3, 2))
+    specs = [KernelSpec((0.5, 1.0, 2.0)), KernelSpec((1.5,))]
+    _upstreams.cache_clear()
+    first = cdd(specs, batch)
+    second = cdd(specs, batch)
+    assert _upstreams.cache_info().hits == 1 and _upstreams.cache_info().misses == 1
+    assert second.total == first.total
+    for (gs, gt), (rs, rt) in zip(first.grads, second.grads):
+        assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
+
+
+def test_upstream_memo_entries_are_read_only():
+    batch = _batch(np.random.default_rng(42), n_classes=2, per_side=(2, 3))
+    for u in _upstreams(*_memo_key(batch)):
+        assert not u.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            u[0, 0] = 1.0
+
+
+def test_upstream_memo_does_not_keep_errors():
+    rng = np.random.default_rng(43)
+    outside = LabeledBatch([rng.normal(size=(2, 2))], [rng.normal(size=(2, 2))],
+                           np.array([0, 3]), np.array([0, 0]), (0,))
+    one_sided = LabeledBatch([rng.normal(size=(3, 2))], [rng.normal(size=(2, 2))],
+                             np.array([0, 0, 1]), np.array([0, 0]), (0, 1))
+    _upstreams.cache_clear()
+    for batch, message in ((outside, r"labels \[3\] outside class_set"),
+                           (one_sided, "empty class pair")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                cdd([KernelSpec((1.0,))], batch)
+    assert _upstreams.cache_info().currsize == 0
+
+
+def test_upstream_memo_keys_on_intra_only():
+    rng = np.random.default_rng(44)
+    batch = _batch(rng, n_classes=2, per_side=(3, 3))
+    spec = KernelSpec((1.0, 2.0))
+    both = _upstreams(*_memo_key(batch, intra_only=False))
+    intra = _upstreams(*_memo_key(batch, intra_only=True))
+    assert not any(np.array_equal(u, v) for u, v in zip(both, intra))
+    args = (batch.source_features, batch.target_features, batch.source_labels.tolist(),
+            batch.target_labels.tolist(), batch.class_set)
+    for intra_only in (False, True, False, True):
+        got = cdd([spec], batch, intra_only=intra_only).total
+        want = naive_cdd([spec], *args, intra_only=intra_only)
+        assert got == pytest.approx(want, abs=1e-12)
+    assert cdd([spec], batch, intra_only=True).total != cdd([spec], batch).total

@@ -7,9 +7,16 @@ from contradapt.kernels import (
     kernel_value_and_grad,
     median_heuristic,
     median_kernel_spec,
+    squared_distances,
 )
 
-from oracles import loop_kernel_matrix, loop_kernel_matrix_grad, naive_kernel
+from oracles import (
+    expression_kernel_value_and_grad,
+    expression_squared_distances,
+    loop_kernel_matrix,
+    loop_kernel_matrix_grad,
+    naive_kernel,
+)
 
 
 def _entries(spec, a, b) -> np.ndarray:
@@ -176,3 +183,25 @@ def test_kernel_wrappers_match_component_loop_bit_for_bit():
         value, grads = kernel_value_and_grad(spec, a, b, up)
         assert value == pytest.approx(float((up * loop_kernel_matrix(spec, a, b)).sum()), rel=1e-12)
         assert np.array_equal(grads[0], ref_a) and np.array_equal(grads[1], ref_b)
+
+
+def test_in_place_kernel_equals_expression_form_bit_for_bit():
+    rng = np.random.default_rng(29)
+    cases = []
+    for trial in range(200):
+        n_a, n_b = (int(v) for v in rng.integers(1, 61, size=2))
+        d = int(rng.integers(1, 65))
+        a = rng.normal(scale=rng.uniform(0.1, 3.0), size=(n_a, d))
+        if trial % 4 == 0:  # a self block, as cdd passes it and as a copy
+            cases += [(a, a), (a, a.copy())]
+        else:
+            cases.append((a, rng.normal(size=(n_b, d))))
+    cases += [(np.zeros((0, 3)), rng.normal(size=(4, 3))), (rng.normal(size=(4, 3)), np.zeros((0, 3)))]
+    for a, b in cases:
+        spec = KernelSpec(np.exp(rng.uniform(-3.0, 3.0, size=rng.integers(1, 10))))
+        up = rng.normal(size=(a.shape[0], b.shape[0]))
+        assert np.array_equal(squared_distances(a, b), expression_squared_distances(a, b))
+        value, (grad_a, grad_b) = kernel_value_and_grad(spec, a, b, up)
+        want, (want_a, want_b) = expression_kernel_value_and_grad(spec, a, b, up)
+        assert value == want
+        assert np.array_equal(grad_a, want_a) and np.array_equal(grad_b, want_b)

@@ -103,6 +103,18 @@ def test_class_aware_batch_errors():
         class_aware_batch(plan, src, tidx, tlab[:5], [0, 1])
 
 
+def test_class_aware_batch_rejects_labels_that_are_not_whole_numbers():
+    with pytest.raises(ValueError, match=r"labels \[0\.5, 1\.7\] are not whole numbers"):
+        class_aware_batch(BatchPlan.seeded(0), [0.5, 1.7], [0, 1], [0.2, 1.9], (0, 1))
+    with pytest.raises(ValueError, match=r"labels \[0\.2, 1\.9\] are not whole numbers"):
+        class_aware_batch(BatchPlan.seeded(0), [0, 1], [0, 1], [0.2, 1.9], (0, 1))
+    a = class_aware_batch(BatchPlan.seeded(0), [0.0, 1.0], [0, 1], [0.0, 1.0], (0, 1))
+    b = class_aware_batch(BatchPlan.seeded(0), [0, 1], [0, 1], [0, 1], (0, 1))
+    assert a.classes == b.classes
+    assert np.array_equal(a.source_indices, b.source_indices)
+    assert np.array_equal(a.target_indices, b.target_indices)
+
+
 def test_uniform_source_batch_contracts():
     plan = BatchPlan.seeded(4, ce_batch_size=32)
     batch = uniform_source_batch(plan, 100)
