@@ -26,6 +26,14 @@ where each upstream matrix ``U`` holds the weight every row pair carries in
 the total.  The same ``U`` are the upstream gradients of the blocks, so
 ``cdd`` reads the value off the pass that forms the gradient.  Plain MMD is
 the case of one class present on both sides.
+
+With k classes all present on both sides and the cross-class term kept, a
+within-domain mean has weight 1/k in the intra and in the inter average, so
+``U_ss`` and ``U_tt`` cancel to zero and only ``K_st`` carries weight; ``cdd``
+skips a block whose ``U`` is all zero, which adds exactly zero.  Intra-only,
+one-class and one-sided-class batches keep all three blocks, and so do
+layouts that leave ``U_ss`` and ``U_tt`` a rounding residue (k = 4, unlike
+k = 2, 3 or 7).
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ class CddValue:
     """Contrastive discrepancy of a batch, summed over layers.
 
     ``total`` is read off the gradient pass as ``<U, K>`` summed over each
-    layer's three kernel blocks.  ``grads`` holds one ``(grad_source,
+    layer's kernel blocks.  ``grads`` holds one ``(grad_source,
     grad_target)`` pair of ``total`` per layer, shaped like that layer's
     features.
     """
@@ -106,8 +114,9 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
 @functools.lru_cache(maxsize=2)
 def _upstreams(source_labels: bytes, target_labels: bytes, class_set: tuple[int, ...],
                skip_missing_pairs: bool, intra_only: bool):
-    """Upstream matrices ``U`` of the ss, tt and st kernel blocks: a layer's
-    discrepancy is ``<U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>``.
+    """The ss, tt and st kernel blocks whose upstream matrix ``U`` is not all
+    zero, as ``(i, j, U)``: a layer's discrepancy is ``<U, K(x_i, x_j)>``
+    summed over them, with ``x_0`` the source and ``x_1`` the target features.
 
     They depend on the labels alone (passed as the bytes of ``int`` arrays),
     so one build serves every step with the same label layout; the returned
@@ -143,9 +152,10 @@ def _upstreams(source_labels: bytes, target_labels: bytes, class_set: tuple[int,
     u_ss = (ms * (w.sum(axis=1) / ns_safe**2)[None, :]) @ ms.T
     u_tt = (mt * (w.sum(axis=0) / nt_safe**2)[None, :]) @ mt.T
     u_st = -2.0 * (ms @ (w / np.outer(ns_safe, nt_safe)) @ mt.T)
-    for u in (u_ss, u_tt, u_st):
+    blocks = tuple(b for b in ((0, 0, u_ss), (1, 1, u_tt), (0, 1, u_st)) if b[2].any())
+    for _, _, u in blocks:
         u.flags.writeable = False
-    return u_ss, u_tt, u_st
+    return blocks
 
 
 def cdd(
@@ -157,10 +167,12 @@ def cdd(
     """Contrastive discrepancy of a batch, summed over layers, and its exact
     gradients w.r.t. every layer's features.
 
-    Each kernel block of each layer is evaluated once, by
+    Each kernel block that carries weight is evaluated once per layer, by
     ``kernel_value_and_grad`` against its upstream matrix, and serves both
-    the value and the gradient.  The upstream matrices are built once per
-    label layout and reused by later calls with the same labels and flags.
+    the value and the gradient; a block whose upstream matrix is all zero
+    adds exactly zero to both and is skipped.  The upstream matrices are
+    built once per label layout and reused by later calls with the same
+    labels and flags.
 
     Args:
         specs: a sequence of one KernelSpec per layer.
@@ -171,15 +183,18 @@ def cdd(
     """
     if isinstance(specs, KernelSpec) or len(specs) != len(batch.source_features):
         raise ValueError("one KernelSpec required per layer")
-    u_ss, u_tt, u_st = _upstreams(batch.source_labels.tobytes(), batch.target_labels.tobytes(),
-                                  batch.class_set, skip_missing_pairs, intra_only)
+    blocks = _upstreams(batch.source_labels.tobytes(), batch.target_labels.tobytes(),
+                        batch.class_set, skip_missing_pairs, intra_only)
     total, grads = 0.0, []
-    for spec, s, t in zip(specs, batch.source_features, batch.target_features):
-        v_ss, g_ss = kernel_value_and_grad(spec, s, s, u_ss)
-        v_tt, g_tt = kernel_value_and_grad(spec, t, t, u_tt)
-        v_st, g_st = kernel_value_and_grad(spec, s, t, u_st)
-        total += v_ss + v_tt + v_st
-        grads.append((g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]))
+    for spec, *x in zip(specs, batch.source_features, batch.target_features):
+        value, grad = 0.0, [np.zeros_like(f) for f in x]
+        for i, j, u in blocks:
+            v, (g_i, g_j) = kernel_value_and_grad(spec, x[i], x[j], u)
+            value += v
+            grad[i] += g_i
+            grad[j] += g_j
+        total += value
+        grads.append(tuple(grad))
     return CddValue(total=total, grads=grads)
 
 

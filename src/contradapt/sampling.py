@@ -51,12 +51,13 @@ class CasBatch:
     target_labels: np.ndarray
 
 
-def draw(rng: np.random.Generator, pool: np.ndarray, count: int) -> np.ndarray:
-    """Uniform draw of ``count`` entries; without replacement when the pool suffices."""
-    pool = np.asarray(pool)
-    if pool.size == 0:
+def draw(rng: np.random.Generator, pool, count: int) -> np.ndarray:
+    """Uniform draw of ``count`` entries of ``pool``, an array or an int n for
+    ``range(n)`` (not built); without replacement when the pool suffices."""
+    size = int(pool) if isinstance(pool, (int, np.integer)) else np.asarray(pool).size
+    if size == 0:
         raise ValueError("cannot draw from an empty pool")
-    return rng.choice(pool, size=count, replace=pool.size < count)
+    return rng.choice(pool, size=count, replace=size < count)
 
 
 def class_aware_batch(
@@ -106,4 +107,4 @@ def uniform_source_batch(plan: BatchPlan, n_source: int) -> np.ndarray:
     """Class-agnostic uniform batch of source indices from the CE lane."""
     if n_source < 1:
         raise ValueError("empty source")
-    return draw(plan.ce_rng, np.arange(n_source), plan.ce_batch_size)
+    return draw(plan.ce_rng, n_source, plan.ce_batch_size)

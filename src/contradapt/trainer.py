@@ -368,7 +368,7 @@ def _cdd_batch(state: TrainState, method: _Method) -> CasBatch | None:
         pool = pseudo.kept_indices
         return class_aware_batch(plan, src.labels, pool, pseudo.assignments[pool],
                                  pseudo.kept_classes)
-    src_idx = draw(plan.cas_rng, np.arange(src.n), plan.classes_per_batch * plan.per_class_source)
+    src_idx = draw(plan.cas_rng, src.n, plan.classes_per_batch * plan.per_class_source)
     tgt_idx = draw(plan.cas_rng, pseudo.kept_indices,
                    plan.classes_per_batch * plan.per_class_target)
     src_labels, tgt_labels = src.labels[src_idx], pseudo.assignments[tgt_idx]

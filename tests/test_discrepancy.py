@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from contradapt import discrepancy
 from contradapt.discrepancy import (
     LabeledBatch,
     _upstreams,
@@ -11,7 +12,7 @@ from contradapt.discrepancy import (
     mmd_squared,
 )
 from contradapt.gradcheck import central_difference, relative_gradient_error
-from contradapt.kernels import KernelSpec
+from contradapt.kernels import KernelSpec, kernel_value_and_grad
 
 from oracles import naive_cdd, naive_mmd, naive_pair
 
@@ -343,10 +344,30 @@ def test_labeled_batch_shape_validation():
         )
 
 
+def _three_block_cdd(specs, batch, intra_only, skip_missing):
+    """The discrepancy summed over all three kernel blocks of every layer,
+    zero upstream blocks included: ``(v_ss + v_tt) + v_st`` per layer and
+    ``(g_ss + g_ss') + g_st`` per side."""
+    ns, nt = batch.source_labels.size, batch.target_labels.size
+    ups = {(0, 0): np.zeros((ns, ns)), (1, 1): np.zeros((nt, nt)), (0, 1): np.zeros((ns, nt))}
+    ups.update({(i, j): u for i, j, u in _upstreams(*_memo_key(batch, intra_only, skip_missing))})
+    total, grads = 0.0, []
+    for spec, s, t in zip(specs, batch.source_features, batch.target_features):
+        v_ss, g_ss = kernel_value_and_grad(spec, s, s, ups[0, 0])
+        v_tt, g_tt = kernel_value_and_grad(spec, t, t, ups[1, 1])
+        v_st, g_st = kernel_value_and_grad(spec, s, t, ups[0, 1])
+        total += v_ss + v_tt + v_st
+        grads.append((g_ss[0] + g_ss[1] + g_st[0], g_tt[0] + g_tt[1] + g_st[1]))
+    return total, grads
+
+
 def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
     rng = np.random.default_rng(21)
-    for trial in range(40):
-        n_classes = int(rng.integers(1, 5))
+    # Every (class count, skip_missing, intra_only) combination comes up: k = 2,
+    # 3 and 7 with every class on both sides cancel U_ss and U_tt exactly, and
+    # k = 4 leaves a rounding residue in them.
+    for trial in range(60):
+        n_classes = (1, 2, 3, 4, 7)[trial % 5]
         skip_missing = trial % 2 == 1
         intra_only = trial % 3 == 0
         ys = rng.integers(0, n_classes, size=rng.integers(2, 10))
@@ -366,12 +387,40 @@ def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
         assert len(both.grads) == len(dims)
         for (gs, gt), (rs, rt) in zip(both.grads, cdd_grad(specs, batch, **kw)):
             assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
+        total, grads = _three_block_cdd(specs, batch, intra_only, skip_missing)
+        assert both.total == total
+        for (gs, gt), (rs, rt) in zip(both.grads, grads):
+            assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
 
 
-def _memo_key(batch, intra_only=False):
-    """``_upstreams``'s arguments for ``cdd(..., intra_only)`` on ``batch``."""
+def _memo_key(batch, intra_only=False, skip_missing_pairs=False):
+    """``_upstreams``'s arguments for ``cdd(..., intra_only, skip_missing_pairs)``
+    on ``batch``."""
     return (batch.source_labels.tobytes(), batch.target_labels.tobytes(), batch.class_set,
-            False, intra_only)
+            skip_missing_pairs, intra_only)
+
+
+def test_cdd_evaluates_only_the_blocks_that_carry_weight(monkeypatch):
+    calls = []
+
+    def counting(spec, a, b, upstream):
+        calls.append(upstream.shape)
+        return kernel_value_and_grad(spec, a, b, upstream)
+
+    monkeypatch.setattr(discrepancy, "kernel_value_and_grad", counting)
+    rng = np.random.default_rng(45)
+    specs = [KernelSpec((0.5, 2.0)), KernelSpec((1.0,))]
+    for n_classes in (2, 3):
+        batch = _batch(rng, n_classes=n_classes, per_side=(4, 5), dims=(3, 2))
+        calls.clear()
+        cdd(specs, batch)
+        assert calls == [(4 * n_classes, 5 * n_classes)] * 2  # K_st of each layer
+        calls.clear()
+        cdd(specs, batch, intra_only=True)
+        assert len(calls) == 3 * 2
+    calls.clear()
+    mmd_squared(specs[0], rng.normal(size=(4, 3)), rng.normal(size=(5, 3)))
+    assert calls == [(4, 4), (5, 5), (4, 5)]
 
 
 def test_cdd_repeated_on_one_batch_reuses_the_upstreams_bit_for_bit():
@@ -389,10 +438,11 @@ def test_cdd_repeated_on_one_batch_reuses_the_upstreams_bit_for_bit():
 
 def test_upstream_memo_entries_are_read_only():
     batch = _batch(np.random.default_rng(42), n_classes=2, per_side=(2, 3))
-    for u in _upstreams(*_memo_key(batch)):
-        assert not u.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            u[0, 0] = 1.0
+    for intra_only in (False, True):  # the cross block alone, then all three
+        for _, _, u in _upstreams(*_memo_key(batch, intra_only)):
+            assert not u.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                u[0, 0] = 1.0
 
 
 def test_upstream_memo_does_not_keep_errors():
@@ -414,9 +464,10 @@ def test_upstream_memo_keys_on_intra_only():
     rng = np.random.default_rng(44)
     batch = _batch(rng, n_classes=2, per_side=(3, 3))
     spec = KernelSpec((1.0, 2.0))
-    both = _upstreams(*_memo_key(batch, intra_only=False))
-    intra = _upstreams(*_memo_key(batch, intra_only=True))
-    assert not any(np.array_equal(u, v) for u, v in zip(both, intra))
+    both = {(i, j): u for i, j, u in _upstreams(*_memo_key(batch, intra_only=False))}
+    intra = {(i, j): u for i, j, u in _upstreams(*_memo_key(batch, intra_only=True))}
+    assert list(both) == [(0, 1)] and list(intra) == [(0, 0), (1, 1), (0, 1)]
+    assert not np.array_equal(both[0, 1], intra[0, 1])
     args = (batch.source_features, batch.target_features, batch.source_labels.tolist(),
             batch.target_labels.tolist(), batch.class_set)
     for intra_only in (False, True, False, True):

@@ -50,6 +50,25 @@ def test_draw_falls_back_to_replacement():
 def test_draw_empty_pool_raises():
     with pytest.raises(ValueError, match="empty pool"):
         draw(np.random.default_rng(0), np.array([]), 1)
+    with pytest.raises(ValueError, match="empty pool"):
+        draw(np.random.default_rng(0), 0, 1)
+
+
+def test_draw_from_a_count_equals_draw_from_its_range():
+    # An integer pool n gives the draw of np.arange(n), with and without
+    # replacement, and leaves the generator in the same state.
+    for n, count in ((1, 1), (1, 3), (5, 5), (7, 3), (3, 7), (20000, 32), (40, 64)):
+        for n_as in (n, np.int64(n)):
+            by_count, by_range = np.random.default_rng(n), np.random.default_rng(n)
+            for _ in range(3):
+                got = draw(by_count, n_as, count)
+                want = draw(by_range, np.arange(n), count)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert by_count.bit_generator.state == by_range.bit_generator.state
+    plan, ref = BatchPlan.seeded(8, ce_batch_size=32), BatchPlan.seeded(8, ce_batch_size=32)
+    for n_source in (20000, 32, 10):
+        assert np.array_equal(uniform_source_batch(plan, n_source),
+                              draw(ref.ce_rng, np.arange(n_source), 32))
 
 
 def test_class_aware_batch_shape_and_grouping():
