@@ -23,7 +23,9 @@ class ClusterState:
     ``assignments[i]`` is the arg-min center for sample ``i`` under the final
     centers (ties broken toward the lowest class id), and ``dissimilarities``
     holds the matching distances.  ``objective_trace`` records the summed
-    assigned dissimilarity after every assignment pass.
+    assigned dissimilarity after every assignment pass.  ``iterations_run`` counts
+    the passes, less a last pass that only re-assigned after an update that moved
+    no center by ``tol``; ``converged`` is False when ``max_iters`` ran out first.
     """
 
     centers: np.ndarray
@@ -82,6 +84,13 @@ def source_class_centers(features, labels, n_classes: int) -> np.ndarray:
     return _unit_rows(_group_sums(_unit_rows(x), y, n_classes))
 
 
+def _assign(unit_x: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's nearest center (argmin takes the lowest id on ties) and its dissimilarity."""
+    diss = _pairwise_dissimilarity(unit_x, centers)
+    nearest = np.argmin(diss, axis=1)
+    return nearest, diss[np.arange(unit_x.shape[0]), nearest]
+
+
 def spherical_kmeans(
     target_features,
     init_centers,
@@ -90,10 +99,10 @@ def spherical_kmeans(
 ) -> ClusterState:
     """Alternate argmin assignment and mean-direction updates until stable.
 
-    Convergence is reached when assignments repeat or no center moves by at
-    least ``tol`` in cosine dissimilarity; empty clusters retain their
-    previous center.  The returned assignments are always consistent with
-    the returned centers.
+    Passes stop when the assignments repeat, when the previous update moved
+    no center by ``tol`` in cosine dissimilarity, or after ``max_iters``
+    passes; empty clusters retain their previous center.  The returned
+    assignments are always consistent with the returned centers.
     """
     x = np.asarray(target_features, dtype=float)
     centers = _unit_rows(np.array(init_centers, dtype=float))
@@ -104,51 +113,26 @@ def spherical_kmeans(
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     unit_x = _unit_rows(x)
-    n, m = x.shape[0], centers.shape[0]
-    trace: list[float] = []
-    prev: np.ndarray | None = None
-    assignments = np.zeros(n, dtype=int)
-    assigned_diss = np.zeros(n)
-    converged = False
-    iterations = max_iters
-
-    def _assign(cs):
-        diss = _pairwise_dissimilarity(unit_x, cs)
-        a = np.argmin(diss, axis=1)  # argmin takes the lowest id on ties
-        d = diss[np.arange(n), a]
-        trace.append(float(d.sum()))
-        return a, d
-
-    for it in range(1, max_iters + 1):
-        assignments, assigned_diss = _assign(centers)
-        if prev is not None and np.array_equal(assignments, prev):
-            iterations, converged = it, True
+    m = centers.shape[0]
+    trace: list[float] = []  # one entry per pass
+    previous, settled = None, False
+    while True:
+        assignments, dissimilarities = _assign(unit_x, centers)
+        trace.append(float(dissimilarities.sum()))
+        converged = settled or (previous is not None and np.array_equal(assignments, previous))
+        if converged or len(trace) >= max_iters:
             break
-        if it == max_iters:
-            iterations, converged = it, False
-            break
-        prev = assignments
+        previous = assignments
         occupied = np.bincount(assignments, minlength=m) > 0
         new_centers = _unit_rows(_group_sums(unit_x, assignments, m))
         new_centers[~occupied] = centers[~occupied]
-        movement = float(
-            np.max(np.clip(0.5 * (1.0 - np.sum(centers * new_centers, axis=1)), 0.0, 1.0))
-        )
+        moved = np.clip(0.5 * (1.0 - np.sum(centers * new_centers, axis=1)), 0.0, 1.0)
+        settled = float(np.max(moved)) < tol
         centers = new_centers
-        if movement < tol:
-            # Final verification pass so state stays self-consistent.
-            assignments, assigned_diss = _assign(centers)
-            iterations, converged = it, True
-            break
 
-    return ClusterState(
-        centers=centers,
-        assignments=assignments,
-        dissimilarities=assigned_diss,
-        iterations_run=iterations,
-        converged=converged,
-        objective_trace=tuple(trace),
-    )
+    # A settled stop's last pass only re-assigns; the count ends at the update.
+    return ClusterState(centers, assignments, dissimilarities, iterations_run=len(trace) - settled,
+                        converged=converged, objective_trace=tuple(trace))
 
 
 def filter_targets(state: ClusterState, d0: float = 0.05, n0: int = 3) -> FilterResult:

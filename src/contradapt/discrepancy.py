@@ -109,8 +109,10 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
 
 
 # Two layouts: a run's training batches (one layout while the chosen classes
-# stay the same) and its cdd_g probe.  Every entry kept raises the process's
-# peak memory, so the memo holds no more.
+# stay the same) and its cdd_g probe.  Per moons training run that serves
+# can (2049 of 2051 calls hit) and no-ao (2046), but not no-cas (0: uniform
+# draws) or a 10-class blobs target picking 4 classes a step (1-2 of 200).
+# Every entry kept raises the process's peak memory, so the memo holds no more.
 @functools.lru_cache(maxsize=2)
 def _upstreams(source_labels: bytes, target_labels: bytes, class_set: tuple[int, ...],
                skip_missing_pairs: bool, intra_only: bool):

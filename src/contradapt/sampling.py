@@ -70,12 +70,14 @@ def class_aware_batch(
     """Pick up to ``plan.classes_per_batch`` eligible classes, then per-class samples.
 
     ``target_indices`` / ``target_labels`` describe the (pseudo-labeled)
-    target pool; ``source_labels`` indexes the full source set.  Every
-    selected class must be populated on both sides.
+    target pool; ``source_labels`` indexes the full source set.  Eligible ids
+    must be distinct, and every selected class populated on both sides.
     """
     eligible = np.asarray(sorted(int(c) for c in eligible_classes), dtype=int)
     if eligible.size == 0:
         raise ValueError("no eligible classes to sample from")
+    if (eligible[1:] == eligible[:-1]).any():
+        raise ValueError("eligible_classes holds duplicate ids")
     source_labels = int_labels(source_labels)
     target_indices = np.asarray(target_indices, dtype=int)
     target_labels = int_labels(target_labels)

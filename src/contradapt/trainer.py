@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import filter_targets, source_class_centers, spherical_kmeans
+from .clustering import (ClusterState, FilterResult, filter_targets, source_class_centers,
+                          spherical_kmeans)
 from .data import Dataset
 from .discrepancy import LabeledBatch, cdd
 from .kernels import median_kernel_spec
@@ -218,13 +219,6 @@ class EvalResult:
 
 
 @dataclass
-class _PseudoLabels:
-    assignments: np.ndarray
-    kept_indices: np.ndarray
-    kept_classes: tuple[int, ...]
-
-
-@dataclass
 class TrainState:
     """Everything run_loop needs; mutated in place as training advances."""
 
@@ -237,7 +231,8 @@ class TrainState:
     probe: CasBatch | None  # fixed, ground-truth labeled; feeds only ``cdd_g``
     step: int = 0
     loop: int = 0
-    pseudo: _PseudoLabels | None = None  # the latest clustering, if the method clusters
+    clusters: ClusterState | None = None  # the latest clustering, if the method clusters
+    filtered: FilterResult | None = None  # and its ambiguity filter
 
 
 @dataclass
@@ -345,33 +340,33 @@ def _cdd_g(state: TrainState, config: TrainConfig) -> float | None:
     return cdd(specs, batch).total
 
 
-def _cluster_target(state: TrainState, config: TrainConfig) -> _PseudoLabels:
+def _cluster_target(state: TrainState, config: TrainConfig) -> None:
+    """Cluster the target features from the source class centers, then filter."""
     phi_source = embed(state.params, state.source.features)
     centers = source_class_centers(phi_source, state.source.labels, state.n_classes)
     phi_target = embed(state.params, state.target.features)
-    cstate = spherical_kmeans(
+    state.clusters = spherical_kmeans(
         phi_target, centers, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol
     )
-    fres = filter_targets(cstate, d0=config.d0, n0=config.n0)
-    return _PseudoLabels(cstate.assignments, fres.kept_indices, fres.kept_classes)
+    state.filtered = filter_targets(state.clusters, d0=config.d0, n0=config.n0)
 
 
 def _cdd_batch(state: TrainState, method: _Method) -> CasBatch | None:
     """Draw one step's discrepancy batch, or None when no class is usable."""
-    src, tgt, pseudo, plan = state.source, state.target, state.pseudo, state.plan
+    src, tgt, plan = state.source, state.target, state.plan
     if method.labels == "argmax":
         pool, pool_labels = np.arange(tgt.n), predict(state.params, tgt.features)
         return class_aware_batch(plan, src.labels, pool, pool_labels, np.unique(pool_labels))
-    if not pseudo.kept_classes:
+    assignments, kept = state.clusters.assignments, state.filtered
+    if not kept.kept_classes:
         return None
     if not method.class_agnostic:
-        pool = pseudo.kept_indices
-        return class_aware_batch(plan, src.labels, pool, pseudo.assignments[pool],
-                                 pseudo.kept_classes)
+        pool = kept.kept_indices
+        return class_aware_batch(plan, src.labels, pool, assignments[pool], kept.kept_classes)
     src_idx = draw(plan.cas_rng, src.n, plan.classes_per_batch * plan.per_class_source)
-    tgt_idx = draw(plan.cas_rng, pseudo.kept_indices,
+    tgt_idx = draw(plan.cas_rng, kept.kept_indices,
                    plan.classes_per_batch * plan.per_class_target)
-    src_labels, tgt_labels = src.labels[src_idx], pseudo.assignments[tgt_idx]
+    src_labels, tgt_labels = src.labels[src_idx], assignments[tgt_idx]
     classes = tuple(sorted(set(src_labels.tolist()) | set(tgt_labels.tolist())))
     return CasBatch(classes, src_idx, tgt_idx, src_labels, tgt_labels)
 
@@ -381,17 +376,17 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
     method = _TABLE[config.method]
     src, tgt = state.source, state.target
 
-    if method.labels == "cluster" or (method.labels == "cluster-once" and state.pseudo is None):
-        state.pseudo = _cluster_target(state, config)
-    pseudo = state.pseudo
+    if method.labels == "cluster" or (method.labels == "cluster-once" and state.clusters is None):
+        _cluster_target(state, config)
+    clusters, kept = state.clusters, state.filtered
 
     clustering_accuracy: float | None = None
     n_kept = n_kept_classes = 0
-    if pseudo is not None:
-        n_kept = int(pseudo.kept_indices.size)
-        n_kept_classes = len(pseudo.kept_classes)
+    if clusters is not None:
+        n_kept = int(kept.kept_indices.size)
+        n_kept_classes = len(kept.kept_classes)
         if tgt.labeled:
-            clustering_accuracy = float(np.mean(pseudo.assignments == tgt.labels))
+            clustering_accuracy = float(np.mean(clusters.assignments == tgt.labels))
         if n_kept_classes == 0 and method.cdd:
             log.warning(
                 "loop %d: no classes pass the filter; running classification-only steps",
@@ -418,8 +413,8 @@ def run_loop(state: TrainState, config: TrainConfig) -> LoopMetrics:
                 grads, state.params, specs, stack_s, stack_t, taps, config.beta,
                 method.intra_only, method.class_agnostic)))
         elif method.target_ce and n_kept > 0:
-            t_idx = draw(state.plan.cas_rng, pseudo.kept_indices, config.ce_batch_size)
-            add_ce_grads(grads, state.params, tgt.features[t_idx], pseudo.assignments[t_idx])
+            t_idx = draw(state.plan.cas_rng, kept.kept_indices, config.ce_batch_size)
+            add_ce_grads(grads, state.params, tgt.features[t_idx], clusters.assignments[t_idx])
         ce_idx = uniform_source_batch(state.plan, src.n)
         ce_values.append(
             add_ce_grads(grads, state.params, src.features[ce_idx], src.labels[ce_idx])
@@ -478,8 +473,9 @@ def train(
     n_classes = _check_datasets(source, target)
     seq_init, seq_cas, seq_ce, seq_probe = np.random.SeedSequence(config.seed).spawn(4)
     if init is not None:
-        if init.in_dim != source.dim or init.n_classes != n_classes:
-            raise ValueError("warm-start parameters do not match the data")
+        dims = [source.dim, *config.hidden_sizes, config.bottleneck_dim, n_classes]
+        if [w.shape for w in init.weights] != list(zip(dims, dims[1:])):
+            raise ValueError("warm-start parameters do not match the data and config")
         params = init.copy()
     else:
         params = init_params(

@@ -9,7 +9,10 @@ library kernels must reproduce bit for bit.  So are
 the kernel written as whole-array expressions with a fresh array per stage,
 which the in-place library kernel must equal bit for bit, and
 ``layerwise_backward``, the backward pass written out one layer at a time,
-which the library's single loop must match bit for bit.  The CSV writer and
+which the library's single loop must match bit for bit, and
+``reference_spherical_kmeans``, k-means with its three exits and a final
+verification pass, which the library's one-exit loop must match bit for
+bit.  The CSV writer and
 reader are the ``csv``-module implementations the faster library I/O must
 match byte for byte and value for value, error messages included.
 """
@@ -22,6 +25,7 @@ import math
 
 import numpy as np
 
+from contradapt.clustering import ClusterState, _group_sums, _pairwise_dissimilarity, _unit_rows
 from contradapt.data import Dataset
 from contradapt.kernels import squared_distances
 from contradapt.model import zeros_like_params
@@ -169,6 +173,51 @@ def kmeans_best_objective(points, init_centers) -> float:
         obj = sum(cosine_dissim(points[i], centers[assign[i]]) for i in range(points.shape[0]))
         best = min(best, obj)
     return best
+
+
+def reference_spherical_kmeans(target_features, init_centers, max_iters=100, tol=1e-6):
+    """``spherical_kmeans`` with an exit per stopping rule: a repeat, the pass
+    budget, or a tolerance stop followed by a final verification pass."""
+    x = np.asarray(target_features, dtype=float)
+    centers = _unit_rows(np.array(init_centers, dtype=float))
+    unit_x = _unit_rows(x)
+    n, m = x.shape[0], centers.shape[0]
+    trace: list[float] = []
+    prev = None
+    assignments = np.zeros(n, dtype=int)
+    assigned_diss = np.zeros(n)
+    converged = False
+    iterations = max_iters
+
+    def _assign(cs):
+        diss = _pairwise_dissimilarity(unit_x, cs)
+        a = np.argmin(diss, axis=1)
+        d = diss[np.arange(n), a]
+        trace.append(float(d.sum()))
+        return a, d
+
+    for it in range(1, max_iters + 1):
+        assignments, assigned_diss = _assign(centers)
+        if prev is not None and np.array_equal(assignments, prev):
+            iterations, converged = it, True
+            break
+        if it == max_iters:
+            iterations, converged = it, False
+            break
+        prev = assignments
+        occupied = np.bincount(assignments, minlength=m) > 0
+        new_centers = _unit_rows(_group_sums(unit_x, assignments, m))
+        new_centers[~occupied] = centers[~occupied]
+        movement = float(
+            np.max(np.clip(0.5 * (1.0 - np.sum(centers * new_centers, axis=1)), 0.0, 1.0))
+        )
+        centers = new_centers
+        if movement < tol:
+            assignments, assigned_diss = _assign(centers)
+            iterations, converged = it, True
+            break
+
+    return ClusterState(centers, assignments, assigned_diss, iterations, converged, tuple(trace))
 
 
 def add_params_(dst, src):

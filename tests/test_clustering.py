@@ -11,7 +11,7 @@ from contradapt.clustering import (
     spherical_kmeans,
 )
 
-from oracles import cosine_dissim, kmeans_best_objective
+from oracles import cosine_dissim, kmeans_best_objective, reference_spherical_kmeans
 
 
 def _state(assignments, dissimilarities, n_clusters):
@@ -196,6 +196,35 @@ def test_kmeans_iteration_budget():
     assert not state.converged
     full = spherical_kmeans(points, init)
     assert full.iterations_run <= 100
+
+
+def test_kmeans_equals_reference_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    seen = {"repeat": 0, "tolerance": 0, "budget": 0, "empty cluster": 0}
+    for _ in range(600):
+        n, m, d = rng.integers(1, 30), rng.integers(1, 6), rng.integers(1, 4)
+        points = rng.normal(size=(n, d))
+        points[rng.random(n) < 0.2] = 0.0  # all-zero rows
+        init = rng.normal(size=(m, d))
+        max_iters = int(rng.integers(1, 8))
+        tol = (0.0, 1e-6, 1e-2, 0.2)[rng.integers(4)]
+        got = spherical_kmeans(points, init, max_iters=max_iters, tol=tol)
+        ref = reference_spherical_kmeans(points, init, max_iters=max_iters, tol=tol)
+        assert np.array_equal(got.centers, ref.centers)
+        assert np.array_equal(got.assignments, ref.assignments)
+        assert np.array_equal(got.dissimilarities, ref.dissimilarities)
+        assert type(got.iterations_run) is int
+        assert got.iterations_run == ref.iterations_run
+        assert got.converged == ref.converged
+        assert got.objective_trace == ref.objective_trace
+        if not ref.converged:
+            seen["budget"] += 1
+        elif len(ref.objective_trace) > ref.iterations_run:
+            seen["tolerance"] += 1
+        else:
+            seen["repeat"] += 1
+        seen["empty cluster"] += np.unique(ref.assignments).size < m
+    assert min(seen.values()) > 50, seen
 
 
 def test_kmeans_validation_errors():

@@ -120,6 +120,8 @@ def test_class_aware_batch_errors():
         class_aware_batch(plan, src, tidx[tlab == 0], tlab[tlab == 0], [0, 1])
     with pytest.raises(ValueError, match="must align"):
         class_aware_batch(plan, src, tidx, tlab[:5], [0, 1])
+    with pytest.raises(ValueError, match="eligible_classes holds duplicate ids"):
+        class_aware_batch(plan, src, tidx, tlab, [0, 0, 1])
 
 
 def test_class_aware_batch_rejects_labels_that_are_not_whole_numbers():

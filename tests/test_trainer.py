@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from contradapt.clustering import spherical_kmeans
+from contradapt import trainer
+from contradapt.clustering import ClusterState, FilterResult, filter_targets, spherical_kmeans
 from contradapt.data import BlobShift, Dataset, gen_blobs, gen_moons
 from contradapt.discrepancy import LabeledBatch, cdd, cdd_grad
 from contradapt.gradcheck import composite_loss_and_grads
@@ -308,6 +309,34 @@ def test_warm_start_round_trip():
     with pytest.raises(ValueError, match="warm-start"):
         bad = ModelParams([np.zeros((5, 2)), np.zeros((2, 3))], [np.zeros(2), np.zeros(3)])
         train(_config(loops=0), src, tgt, init=bad)
+    # the data's widths, but not the config's layers
+    other = init_params(np.random.default_rng(0), src.dim, (8,), 3, 3)
+    with pytest.raises(ValueError, match="warm-start parameters do not match"):
+        train(_config(loops=0, hidden_sizes=(64, 64), bottleneck_dim=16), src, tgt, init=other)
+
+
+@pytest.mark.parametrize("method", ["can", "pseudo0", "source-only"])
+def test_run_loop_keeps_the_clustering_records(monkeypatch, method):
+    states, run_loop = [], trainer.run_loop
+
+    def spy(state, config):
+        states.append(state)
+        return run_loop(state, config)
+
+    monkeypatch.setattr(trainer, "run_loop", spy)
+    src, tgt = _blobs(seed=11)
+    config = _config(method=method, loops=2)
+    result = train(config, src, tgt)
+    state = states[-1]
+    if method == "source-only":
+        assert state.clusters is None and state.filtered is None
+        return
+    assert isinstance(state.clusters, ClusterState)
+    assert isinstance(state.filtered, FilterResult)
+    again = filter_targets(state.clusters, d0=config.d0, n0=config.n0)
+    assert np.array_equal(state.filtered.kept_indices, again.kept_indices)
+    assert result.metrics[-1].n_kept == state.filtered.kept_indices.size
+    assert result.metrics[-1].n_kept_classes == len(state.filtered.kept_classes)
 
 
 def test_dataset_checks():
