@@ -148,7 +148,7 @@ def forward(params: ModelParams, inputs) -> FeatureStack:
     return FeatureStack(inputs=x, outputs=outputs)
 
 
-def embed(params: ModelParams, inputs) -> np.ndarray:
+def embed(params: ModelParams, inputs, out: np.ndarray | None = None) -> np.ndarray:
     """Bottleneck features of ``inputs``, with no activations cached.
 
     Rows run in near-equal blocks of at most ``EMBED_BLOCK_ROWS``, so each
@@ -156,10 +156,17 @@ def embed(params: ModelParams, inputs) -> np.ndarray:
     ``forward(params, inputs).outputs[-2][i]`` while BLAS computes a row the
     same way whatever the row count; no block is a single row, because NumPy
     sends one-row products to gemv, which rounds differently from gemm.
+    The features are written into ``out`` when given (a C-contiguous float64
+    ``(n, bottleneck_dim)`` array), and it is returned.
     """
     x = _check_inputs(params, inputs)
     n = x.shape[0]
-    out = np.empty((n, params.weights[-2].shape[1]))
+    shape = (n, params.weights[-2].shape[1])
+    if out is None:
+        out = np.empty(shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == shape and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     n_blocks = max(-(-n // EMBED_BLOCK_ROWS), 1)
     edges = [n * i // n_blocks for i in range(n_blocks + 1)]
     for lo, hi in zip(edges[:-1], edges[1:]):

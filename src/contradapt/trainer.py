@@ -4,7 +4,9 @@ steps.
 
 Each outer loop freezes the target pseudo-labels produced by spherical
 k-means (initialized from labeled source class centers) and runs K
-parameter updates.  Per step the composite gradient is
+parameter updates.  The clustering embeds the source and the target at once,
+on two threads and bit for bit (NumPy releases the GIL in the products), which
+gains time only with two free cores.  Per step the composite gradient is
 
     grad = grad(source CE) + beta * grad(contrastive discrepancy)
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import numbers
+import threading
 import time
 from dataclasses import dataclass
 
@@ -341,10 +344,32 @@ def _cdd_g(state: TrainState, config: TrainConfig) -> float | None:
 
 
 def _cluster_target(state: TrainState, config: TrainConfig) -> None:
-    """Cluster the target features from the source class centers, then filter."""
-    phi_source = embed(state.params, state.source.features)
-    centers = source_class_centers(phi_source, state.source.labels, state.n_classes)
-    phi_target = embed(state.params, state.target.features)
+    """Cluster the target features from the source class centers, then filter.
+
+    A worker thread embeds the target while this thread embeds the source.  It
+    writes into an array allocated here: a worker-allocated one left its blocks
+    in a second malloc arena and raised peak memory."""
+    params, target = state.params, state.target
+    phi_target = np.empty((target.n, params.weights[-2].shape[1]))
+    failure: list[BaseException] = []
+    errstate = dict(np.geterr(), call=np.geterrcall())  # a new thread starts from the defaults
+
+    def embed_target() -> None:
+        try:
+            with np.errstate(**errstate):
+                embed(params, target.features, out=phi_target)
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=embed_target, name="embed-target")
+    worker.start()
+    try:
+        phi_source = embed(params, state.source.features)
+        centers = source_class_centers(phi_source, state.source.labels, state.n_classes)
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
     state.clusters = spherical_kmeans(
         phi_target, centers, max_iters=config.kmeans_max_iters, tol=config.kmeans_tol
     )

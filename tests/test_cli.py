@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from contradapt import __version__
+from contradapt import __version__, trainer
 from contradapt.cli import build_parser, main
 from contradapt.data import Dataset, load_csv, save_csv
 from contradapt.model import init_params, save_checkpoint
@@ -244,6 +244,33 @@ def test_diverged_train_leaves_a_replayable_record(tmp_path, capsys, eta0, step,
     assert not (second / "checkpoint.txt").exists()
     assert _run_train(data, second) == 0
     assert not (second / "failure.json").exists()
+
+
+def test_train_failing_target_embed_leaves_a_failure_record(tmp_path, capsys, monkeypatch):
+    data = _gen_small(tmp_path)
+    # unlabeled, so the only embeds of the target rows are the clustering's
+    target = load_csv(data / "target_unlabeled.csv").features
+    embed, target_calls = trainer.embed, []
+
+    def failing_on_second_target(params, inputs, out=None):
+        if np.array_equal(inputs, target):
+            target_calls.append(1)
+            if len(target_calls) == 2:
+                raise ValueError("target embed failed")
+        return embed(params, inputs, out=out)
+
+    monkeypatch.setattr(trainer, "embed", failing_on_second_target)
+    out = tmp_path / "run"
+    assert main(["train", "--source", str(data / "source.csv"),
+                 "--target", str(data / "target_unlabeled.csv"), "--out", str(out)]
+                + _FAST_TRAIN) == 1
+    assert target_calls == [1, 1]
+    assert "error: target embed failed" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json", "manifest.json",
+                                                     "metrics.jsonl"]
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": "target embed failed", "loops_completed": 1}
+    assert len((out / "metrics.jsonl").read_text().splitlines()) == 1
 
 
 def test_eval_reports_accuracy(tmp_path, capsys):

@@ -149,6 +149,25 @@ def test_embed_matches_forward_bottleneck(hidden):
     assert embed(params, np.zeros((0, 3))).shape == (0, 4)
 
 
+@pytest.mark.parametrize("n_rows", [50, 5000])  # one block, three blocks
+def test_embed_into_out_equals_fresh_array(n_rows):
+    rng = np.random.default_rng(12)
+    params = _tiny_params(rng, in_dim=3)
+    x = rng.normal(size=(n_rows, 3))
+    out = np.full((n_rows, 4), np.nan)
+    assert embed(params, x, out=out) is out
+    assert np.array_equal(out, embed(params, x))
+
+
+def test_embed_rejects_a_bad_out():
+    params = _tiny_params()
+    x = np.zeros((6, 3))
+    for bad in (np.empty((6, 5)), np.empty((5, 4)), np.empty((6, 4), dtype=np.float32),
+                np.empty((4, 6)).T, np.empty((6, 8))[:, ::2]):
+        with pytest.raises(ValueError, match=r"C-contiguous float64 array of shape \(6, 4\)"):
+            embed(params, x, out=bad)
+
+
 @pytest.mark.parametrize("hidden", [(5,), ()])
 def test_forward_and_embed_leave_inputs_unchanged(hidden):
     params = _tiny_params(hidden=hidden)

@@ -1,10 +1,14 @@
+import dataclasses
 import logging
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from contradapt import trainer
-from contradapt.clustering import ClusterState, FilterResult, filter_targets, spherical_kmeans
+from contradapt.clustering import (ClusterState, FilterResult, filter_targets,
+                                  source_class_centers, spherical_kmeans)
 from contradapt.data import BlobShift, Dataset, gen_blobs, gen_moons
 from contradapt.discrepancy import LabeledBatch, cdd, cdd_grad
 from contradapt.gradcheck import composite_loss_and_grads
@@ -13,6 +17,7 @@ from contradapt.model import (
     ModelParams,
     backward,
     cross_entropy,
+    embed,
     forward,
     init_params,
     zeros_like_params,
@@ -337,6 +342,108 @@ def test_run_loop_keeps_the_clustering_records(monkeypatch, method):
     assert np.array_equal(state.filtered.kept_indices, again.kept_indices)
     assert result.metrics[-1].n_kept == state.filtered.kept_indices.size
     assert result.metrics[-1].n_kept_classes == len(state.filtered.kept_classes)
+
+
+def _cluster_state(source, target, config):
+    """A TrainState at fresh parameters, as ``_cluster_target`` reads it."""
+    n_classes = int(source.labels.max()) + 1
+    params = init_params(np.random.default_rng(config.seed), source.dim, config.hidden_sizes,
+                         config.bottleneck_dim, n_classes)
+    return trainer.TrainState(params, zeros_like_params(params), None, source, target,
+                              n_classes, None)
+
+
+@pytest.mark.parametrize("instance", ["moons", "blobs-5000"])
+def test_cluster_target_equals_the_serial_sequence(instance):
+    if instance == "moons":
+        (src, tgt), config = gen_moons(seed=MOONS_SEED, **MOONS_KW), _config(bottleneck_dim=8)
+    else:
+        src, tgt = gen_blobs(seed=BLOBS_SEED, **dict(BLOBS_KW, per_class=1250))  # 5000 rows
+        config = _config(hidden_sizes=(64, 64), bottleneck_dim=16)
+    state = _cluster_state(src, tgt, config)
+    trainer._cluster_target(state, config)
+    centers = source_class_centers(embed(state.params, src.features), src.labels,
+                                   state.n_classes)
+    clusters = spherical_kmeans(embed(state.params, tgt.features), centers,
+                                max_iters=config.kmeans_max_iters, tol=config.kmeans_tol)
+    filtered = filter_targets(clusters, d0=config.d0, n0=config.n0)
+    for got, want in ((state.clusters, clusters), (state.filtered, filtered)):
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert type(a) is type(b), f.name
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, f.name
+
+
+def _recording_embed(monkeypatch, target, error=None):
+    """Patch the trainer's ``embed`` to record each call's (thread id, is-target),
+    raising ``error`` on the target's call when given."""
+    calls = []
+
+    def recording(params, inputs, out=None):
+        calls.append((threading.get_ident(), inputs is target.features))
+        if error is not None and inputs is target.features:
+            raise error
+        return embed(params, inputs, out=out)
+
+    monkeypatch.setattr(trainer, "embed", recording)
+    return calls
+
+
+def test_cluster_target_embeds_the_target_on_another_thread(monkeypatch):
+    src, tgt = _blobs(seed=12)
+    config = _config()
+    calls = _recording_embed(monkeypatch, tgt)
+    threads = threading.active_count()
+    trainer._cluster_target(_cluster_state(src, tgt, config), config)
+    assert threading.active_count() == threads
+    assert sorted(is_target for _, is_target in calls) == [False, True]
+    source_thread = next(ident for ident, is_target in calls if not is_target)
+    target_thread = next(ident for ident, is_target in calls if is_target)
+    assert source_thread == threading.get_ident() != target_thread
+
+
+def test_cluster_target_reraises_the_workers_error(monkeypatch):
+    src, tgt = _blobs(seed=13)
+    config = _config()
+    error = ValueError("target embed failed")
+    _recording_embed(monkeypatch, tgt, error)
+    state = _cluster_state(src, tgt, config)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^target embed failed$") as excinfo:
+        trainer._cluster_target(state, config)
+    assert excinfo.value is error
+    assert threading.active_count() == threads
+    assert state.clusters is None and state.filtered is None
+
+
+def test_cluster_target_joins_the_worker_when_the_source_fails(monkeypatch):
+    src, tgt = _blobs(seed=14)
+    config = _config()
+    finished = []
+
+    def slow_target_failing_source(params, inputs, out=None):
+        if inputs is src.features:
+            raise ValueError("source embed failed")
+        time.sleep(0.2)  # still running when the source fails
+        finished.append(True)
+        return embed(params, inputs, out=out)
+
+    monkeypatch.setattr(trainer, "embed", slow_target_failing_source)
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^source embed failed$"):
+        trainer._cluster_target(_cluster_state(src, tgt, config), config)
+    assert finished == [True]
+    assert threading.active_count() == threads
+
+
+def test_cluster_target_keeps_the_callers_errstate():
+    src, tgt = _blobs(seed=15)
+    config = _config(hidden_sizes=(), bottleneck_dim=2)
+    big = Dataset(np.full_like(tgt.features, 1e308), tgt.labels, "target")
+    state = _cluster_state(src, big, config)
+    state.params.weights[0][:] = 2.0  # overflows on the target rows alone
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+        trainer._cluster_target(state, config)
 
 
 def test_dataset_checks():
