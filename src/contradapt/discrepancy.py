@@ -23,9 +23,11 @@ total is linear in its three kernel blocks:
     total = <U_ss, K_ss> + <U_tt, K_tt> + <U_st, K_st>
 
 where each upstream matrix ``U`` holds the weight every row pair carries in
-the total.  The same ``U`` are the upstream gradients of the blocks, so
-``cdd`` reads the value off the pass that forms the gradient.  Plain MMD is
-the case of one class present on both sides.
+the total.  That weight depends only on the two rows' classes, so each ``U``
+is gathered from per-class coefficients built from the class counts.  The
+same ``U`` are the upstream gradients of the blocks, so ``cdd`` reads the
+value off the pass that forms the gradient.  Plain MMD is the case of one
+class present on both sides.
 
 With k classes all present on both sides and the cross-class term kept, a
 within-domain mean has weight 1/k in the intra and in the inter average, so
@@ -38,7 +40,6 @@ k = 2, 3 or 7).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,9 @@ class LabeledBatch:
         self.target_features = [np.asarray(f, dtype=float) for f in self.target_features]
         self.source_labels = int_labels(self.source_labels)
         self.target_labels = int_labels(self.target_labels)
-        self.class_set = tuple(sorted(int(c) for c in self.class_set))
+        if self.source_labels.ndim != 1 or self.target_labels.ndim != 1:
+            raise ValueError("one label per row required")
+        self.class_set = tuple(sorted(int_labels(list(self.class_set)).tolist()))
         if len(self.class_set) != len(set(self.class_set)):
             raise ValueError("class_set holds duplicate ids")
         if not self.source_features or len(self.source_features) != len(self.target_features):
@@ -108,56 +111,49 @@ def mmd_squared(spec: KernelSpec, source, target) -> float:
     return cdd([spec], batch).total
 
 
-# Two layouts: a run's training batches (one layout while the chosen classes
-# stay the same) and its cdd_g probe.  Per moons training run that serves
-# can (2049 of 2051 calls hit) and no-ao (2046), but not no-cas (0: uniform
-# draws) or a 10-class blobs target picking 4 classes a step (1-2 of 200).
-# Every entry kept raises the process's peak memory, so the memo holds no more.
-@functools.lru_cache(maxsize=2)
-def _upstreams(source_labels: bytes, target_labels: bytes, class_set: tuple[int, ...],
-               skip_missing_pairs: bool, intra_only: bool):
+def _upstreams(source_labels: np.ndarray, target_labels: np.ndarray,
+               class_set: tuple[int, ...], skip_missing_pairs: bool, intra_only: bool):
     """The ss, tt and st kernel blocks whose upstream matrix ``U`` is not all
     zero, as ``(i, j, U)``: a layer's discrepancy is ``<U, K(x_i, x_j)>``
     summed over them, with ``x_0`` the source and ``x_1`` the target features.
 
-    They depend on the labels alone (passed as the bytes of ``int`` arrays),
-    so one build serves every step with the same label layout; the returned
-    arrays are read-only.  Errors are raised, not cached.
+    The weight of a row pair depends only on the two rows' classes, so each
+    ``U`` is a per-class coefficient table gathered at the rows' positions in
+    ``class_set`` (sorted, distinct).
     """
-    ys = np.frombuffer(source_labels, dtype=int)
-    yt = np.frombuffer(target_labels, dtype=int)
     classes = np.asarray(class_set, dtype=int)
-    ms = (ys[:, None] == classes[None, :]).astype(float)
-    mt = (yt[:, None] == classes[None, :]).astype(float)
-    outside = np.concatenate([ys[~ms.any(axis=1)], yt[~mt.any(axis=1)]])
-    if outside.size:
-        raise ValueError(f"labels {np.unique(outside).tolist()} outside class_set")
-    ns = ms.sum(axis=0)
-    nt = mt.sum(axis=0)
+    k, n_s = len(classes), len(source_labels)
+    labels = np.concatenate([source_labels, target_labels])
+    pos = np.searchsorted(classes, labels)
+    # The left and right searches agree only for a label not in classes.
+    outside = pos == np.searchsorted(classes, labels, side="right")
+    if outside.any():
+        raise ValueError(f"labels {np.unique(labels[outside]).tolist()} outside class_set")
+    pos = pos[:n_s], pos[n_s:]
+    ns, nt = [np.bincount(p, minlength=k) for p in pos]
     if not (skip_missing_pairs or (ns.all() and nt.all())):
         raise ValueError("empty class pair")
-    estimable = (ns > 0)[:, None] & (nt > 0)[None, :]
-    eye = np.eye(len(classes), dtype=bool)
-    intra_mask = estimable & eye
-    inter_mask = estimable & ~eye
-    n_intra, n_inter = int(intra_mask.sum()), 0 if intra_only else int(inter_mask.sum())
-    ns_safe = np.where(ns > 0, ns, 1.0)
-    nt_safe = np.where(nt > 0, nt, 1.0)
+    # Ordered class pairs populated on both sides; the intra pairs are its
+    # diagonal.
+    estimable = (ns > 0)[:, None] & (nt > 0)
+    intra = np.flatnonzero(estimable.diagonal())
+    n_intra, n_inter = intra.size, 0 if intra_only else int(estimable.sum()) - intra.size
     # Weight of each estimable ordered class pair inside the total.
-    w = np.zeros(intra_mask.shape)
-    if n_intra:
-        w[intra_mask] = 1.0 / n_intra
+    w = np.zeros((k, k))
     if n_inter:
-        w[inter_mask] = -1.0 / n_inter
+        w[estimable] = -1.0 / n_inter
+    if n_intra:
+        w[intra, intra] = 1.0 / n_intra
+    # An absent class carries no weight; a count of 1 keeps its 0 finite.
+    ns, nt = np.maximum(ns, 1), np.maximum(nt, 1)
     # e1 of class c1 enters every pair in its row, e2 of c2 every pair in its
-    # column; collapsing those sums gives block-constant upstream matrices.
-    u_ss = (ms * (w.sum(axis=1) / ns_safe**2)[None, :]) @ ms.T
-    u_tt = (mt * (w.sum(axis=0) / nt_safe**2)[None, :]) @ mt.T
-    u_st = -2.0 * (ms @ (w / np.outer(ns_safe, nt_safe)) @ mt.T)
-    blocks = tuple(b for b in ((0, 0, u_ss), (1, 1, u_tt), (0, 1, u_st)) if b[2].any())
-    for _, _, u in blocks:
-        u.flags.writeable = False
-    return blocks
+    # column: a same-class source (target) pair of class c carries the row
+    # (column) sum of w over the squared class count, a cross pair of classes
+    # (c1, c2) carries -2 w / (n_s n_t).
+    coefs = ((0, 0, w.sum(axis=1) / ns**2), (1, 1, w.sum(axis=0) / nt**2),
+             (0, 1, -2.0 * (w / (ns[:, None] * nt))))
+    return [(i, j, (np.diag(c) if i == j else c).take(pos[i], axis=0).take(pos[j], axis=1))
+            for i, j, c in coefs if c.any()]
 
 
 def cdd(
@@ -173,8 +169,7 @@ def cdd(
     ``kernel_value_and_grad`` against its upstream matrix, and serves both
     the value and the gradient; a block whose upstream matrix is all zero
     adds exactly zero to both and is skipped.  The upstream matrices are
-    built once per label layout and reused by later calls with the same
-    labels and flags.
+    gathered from per-class coefficients on every call.
 
     Args:
         specs: a sequence of one KernelSpec per layer.
@@ -185,8 +180,8 @@ def cdd(
     """
     if isinstance(specs, KernelSpec) or len(specs) != len(batch.source_features):
         raise ValueError("one KernelSpec required per layer")
-    blocks = _upstreams(batch.source_labels.tobytes(), batch.target_labels.tobytes(),
-                        batch.class_set, skip_missing_pairs, intra_only)
+    blocks = _upstreams(batch.source_labels, batch.target_labels, batch.class_set,
+                        skip_missing_pairs, intra_only)
     total, grads = 0.0, []
     for spec, *x in zip(specs, batch.source_features, batch.target_features):
         value, grad = 0.0, [np.zeros_like(f) for f in x]

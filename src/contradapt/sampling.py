@@ -73,7 +73,7 @@ def class_aware_batch(
     target pool; ``source_labels`` indexes the full source set.  Eligible ids
     must be distinct, and every selected class populated on both sides.
     """
-    eligible = np.asarray(sorted(int(c) for c in eligible_classes), dtype=int)
+    eligible = np.sort(int_labels(list(eligible_classes)))
     if eligible.size == 0:
         raise ValueError("no eligible classes to sample from")
     if (eligible[1:] == eligible[:-1]).any():

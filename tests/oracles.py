@@ -12,7 +12,9 @@ which the in-place library kernel must equal bit for bit, and
 which the library's single loop must match bit for bit, and
 ``reference_spherical_kmeans``, k-means with its three exits and a final
 verification pass, which the library's one-exit loop must match bit for
-bit.  The CSV writer and
+bit, and ``reference_upstreams``, the discrepancy's upstream matrices built
+from one-hot class masks and matrix products, which the library's per-class
+coefficient gather must match bit for bit.  The CSV writer and
 reader are the ``csv``-module implementations the faster library I/O must
 match byte for byte and value for value, error messages included.
 """
@@ -134,6 +136,41 @@ def naive_cdd(specs, src_layers, tgt_layers, ys, yt, class_set,
         inter = sum(inter_vals) / len(inter_vals) if (inter_vals and not intra_only) else 0.0
         total += intra - inter
     return total
+
+
+def reference_upstreams(source_labels, target_labels, class_set, skip_missing_pairs,
+                        intra_only):
+    """``discrepancy._upstreams`` from one-hot class masks: the same errors in
+    the same order, and the ``(i, j, U)`` blocks whose ``U`` is not all zero,
+    each ``U`` a product of the masks with the per-class coefficients."""
+    ys = np.asarray(source_labels, dtype=int)
+    yt = np.asarray(target_labels, dtype=int)
+    classes = np.asarray(class_set, dtype=int)
+    ms = (ys[:, None] == classes[None, :]).astype(float)
+    mt = (yt[:, None] == classes[None, :]).astype(float)
+    outside = np.concatenate([ys[~ms.any(axis=1)], yt[~mt.any(axis=1)]])
+    if outside.size:
+        raise ValueError(f"labels {np.unique(outside).tolist()} outside class_set")
+    ns = ms.sum(axis=0)
+    nt = mt.sum(axis=0)
+    if not (skip_missing_pairs or (ns.all() and nt.all())):
+        raise ValueError("empty class pair")
+    estimable = (ns > 0)[:, None] & (nt > 0)[None, :]
+    eye = np.eye(len(classes), dtype=bool)
+    intra_mask = estimable & eye
+    inter_mask = estimable & ~eye
+    n_intra, n_inter = int(intra_mask.sum()), 0 if intra_only else int(inter_mask.sum())
+    ns_safe = np.where(ns > 0, ns, 1.0)
+    nt_safe = np.where(nt > 0, nt, 1.0)
+    w = np.zeros(intra_mask.shape)
+    if n_intra:
+        w[intra_mask] = 1.0 / n_intra
+    if n_inter:
+        w[inter_mask] = -1.0 / n_inter
+    u_ss = (ms * (w.sum(axis=1) / ns_safe**2)[None, :]) @ ms.T
+    u_tt = (mt * (w.sum(axis=0) / nt_safe**2)[None, :]) @ mt.T
+    u_st = -2.0 * (ms @ (w / np.outer(ns_safe, nt_safe)) @ mt.T)
+    return [b for b in ((0, 0, u_ss), (1, 1, u_tt), (0, 1, u_st)) if b[2].any()]
 
 
 def cosine_dissim(a, b) -> float:

@@ -14,7 +14,7 @@ from contradapt.discrepancy import (
 from contradapt.gradcheck import central_difference, relative_gradient_error
 from contradapt.kernels import KernelSpec, kernel_value_and_grad
 
-from oracles import naive_cdd, naive_mmd, naive_pair
+from oracles import naive_cdd, naive_mmd, naive_pair, reference_upstreams
 
 
 def _batch(rng, n_classes=2, per_side=(2, 3), dims=(3,), spread=1.0):
@@ -282,6 +282,11 @@ def test_labeled_batch_rejects_labels_that_are_not_whole_numbers():
         LabeledBatch(feats, feats, [0.5, 1.0], [0, 1], (0, 1))
     batch = LabeledBatch(feats, feats, [0.0, 1.0], [1.0, 0.0], (0, 1))
     assert batch.source_labels.dtype == np.int64
+    with pytest.raises(ValueError, match=r"labels \[1\.7\] are not whole numbers"):
+        LabeledBatch(feats, feats, [0, 1], [0, 1], (0, 1.7))
+    with pytest.raises(ValueError, match="not whole numbers within int64"):
+        LabeledBatch(feats, feats, [0, 1], [0, 1], (0, 1, 2**64))
+    assert LabeledBatch(feats, feats, [0, 1], [0, 1], (1.0, np.int32(0))).class_set == (0, 1)
 
 
 def test_cdd_grad_matches_finite_differences():
@@ -332,6 +337,11 @@ def test_cdd_grad_skip_missing_matches_finite_differences():
 
 
 def test_labeled_batch_shape_validation():
+    for labels in (0, [[0], [1]]):
+        with pytest.raises(ValueError, match="one label per row required"):
+            LabeledBatch([np.zeros((2, 2))], [np.zeros((2, 2))], labels, [0, 1], (0, 1))
+        with pytest.raises(ValueError, match="one label per row required"):
+            LabeledBatch([np.zeros((2, 2))], [np.zeros((2, 2))], [0, 1], labels, (0, 1))
     with pytest.raises(ValueError, match="layer count"):
         LabeledBatch([np.zeros((2, 2))], [], np.zeros(2, dtype=int), np.zeros(0, dtype=int), (0,))
     with pytest.raises(ValueError, match="row counts"):
@@ -350,7 +360,8 @@ def _three_block_cdd(specs, batch, intra_only, skip_missing):
     ``(g_ss + g_ss') + g_st`` per side."""
     ns, nt = batch.source_labels.size, batch.target_labels.size
     ups = {(0, 0): np.zeros((ns, ns)), (1, 1): np.zeros((nt, nt)), (0, 1): np.zeros((ns, nt))}
-    ups.update({(i, j): u for i, j, u in _upstreams(*_memo_key(batch, intra_only, skip_missing))})
+    ups.update({(i, j): u for i, j, u in _upstreams(batch.source_labels, batch.target_labels,
+                                                    batch.class_set, skip_missing, intra_only)})
     total, grads = 0.0, []
     for spec, s, t in zip(specs, batch.source_features, batch.target_features):
         v_ss, g_ss = kernel_value_and_grad(spec, s, s, ups[0, 0])
@@ -393,13 +404,6 @@ def test_cdd_value_and_grad_equals_separate_calls_bit_for_bit():
             assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
 
 
-def _memo_key(batch, intra_only=False, skip_missing_pairs=False):
-    """``_upstreams``'s arguments for ``cdd(..., intra_only, skip_missing_pairs)``
-    on ``batch``."""
-    return (batch.source_labels.tobytes(), batch.target_labels.tobytes(), batch.class_set,
-            skip_missing_pairs, intra_only)
-
-
 def test_cdd_evaluates_only_the_blocks_that_carry_weight(monkeypatch):
     calls = []
 
@@ -423,49 +427,59 @@ def test_cdd_evaluates_only_the_blocks_that_carry_weight(monkeypatch):
     assert calls == [(4, 4), (5, 5), (4, 5)]
 
 
-def test_cdd_repeated_on_one_batch_reuses_the_upstreams_bit_for_bit():
-    rng = np.random.default_rng(41)
-    batch = _batch(rng, n_classes=3, per_side=(4, 5), dims=(3, 2))
-    specs = [KernelSpec((0.5, 1.0, 2.0)), KernelSpec((1.5,))]
-    _upstreams.cache_clear()
-    first = cdd(specs, batch)
-    second = cdd(specs, batch)
-    assert _upstreams.cache_info().hits == 1 and _upstreams.cache_info().misses == 1
-    assert second.total == first.total
-    for (gs, gt), (rs, rt) in zip(first.grads, second.grads):
-        assert np.array_equal(gs, rs) and np.array_equal(gt, rt)
+def _build(build, *args):
+    """``build(*args)``, or the type and message of the error it raises."""
+    try:
+        return build(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
 
 
-def test_upstream_memo_entries_are_read_only():
-    batch = _batch(np.random.default_rng(42), n_classes=2, per_side=(2, 3))
-    for intra_only in (False, True):  # the cross block alone, then all three
-        for _, _, u in _upstreams(*_memo_key(batch, intra_only)):
-            assert not u.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                u[0, 0] = 1.0
+def test_upstreams_equal_the_mask_product_reference():
+    rng = np.random.default_rng(46)
+    seen = set()
+    for trial in range(600):
+        k = int(rng.integers(0, 12))
+        classes = np.sort(rng.choice(40, size=k, replace=False)) - 10  # not contiguous
+        pool = classes
+        if k == 0 or trial % 5 == 0:  # a label outside class_set, sometimes
+            pool = np.concatenate([classes, rng.integers(-12, 32, size=1)])
+        ys = rng.choice(pool, size=rng.integers(0, 20))
+        yt = rng.choice(pool, size=rng.integers(0, 20))
+        if trial % 2 == 0:  # every class on both sides, grouped or shuffled
+            ys, yt = np.concatenate([ys, classes]), np.concatenate([classes, yt])
+            if trial % 4 == 0:
+                ys, yt = np.sort(ys), np.sort(yt)
+        args = (ys.astype(int), yt.astype(int), tuple(classes.tolist()),
+                trial % 3 == 0, trial % 7 < 3)
+        want = _build(reference_upstreams, *args)
+        got = _build(_upstreams, *args)
+        if isinstance(want, tuple):  # an error
+            assert got == want, args
+            seen.add(want[1] if want[1] == "empty class pair" else "outside")
+            continue
+        assert [b[:2] for b in got] == [b[:2] for b in want], args
+        for (_, _, u), (_, _, r) in zip(got, want):
+            assert u.dtype == r.dtype and np.array_equal(u, r), args
+            nonzero = r != 0
+            assert np.array_equal(u[nonzero].view(np.int64), r[nonzero].view(np.int64)), args
+        seen.add(len(got))
+    assert seen == {0, 1, 2, 3, "empty class pair", "outside"}
+    # An empty class_set: labels lie outside it, and no labels give no blocks.
+    for ys, yt in (([0], []), ([], [3]), ([], [])):
+        args = (np.array(ys, dtype=int), np.array(yt, dtype=int), (), False, False)
+        assert _build(_upstreams, *args) == _build(reference_upstreams, *args)
+    batch = LabeledBatch([np.zeros((0, 2))], [np.zeros((0, 2))], [], [], ())
+    assert cdd([KernelSpec((1.0,))], batch).total == 0.0
 
 
-def test_upstream_memo_does_not_keep_errors():
-    rng = np.random.default_rng(43)
-    outside = LabeledBatch([rng.normal(size=(2, 2))], [rng.normal(size=(2, 2))],
-                           np.array([0, 3]), np.array([0, 0]), (0,))
-    one_sided = LabeledBatch([rng.normal(size=(3, 2))], [rng.normal(size=(2, 2))],
-                             np.array([0, 0, 1]), np.array([0, 0]), (0, 1))
-    _upstreams.cache_clear()
-    for batch, message in ((outside, r"labels \[3\] outside class_set"),
-                           (one_sided, "empty class pair")):
-        for _ in range(2):
-            with pytest.raises(ValueError, match=message):
-                cdd([KernelSpec((1.0,))], batch)
-    assert _upstreams.cache_info().currsize == 0
-
-
-def test_upstream_memo_keys_on_intra_only():
+def test_upstream_blocks_follow_intra_only():
     rng = np.random.default_rng(44)
     batch = _batch(rng, n_classes=2, per_side=(3, 3))
     spec = KernelSpec((1.0, 2.0))
-    both = {(i, j): u for i, j, u in _upstreams(*_memo_key(batch, intra_only=False))}
-    intra = {(i, j): u for i, j, u in _upstreams(*_memo_key(batch, intra_only=True))}
+    labels = (batch.source_labels, batch.target_labels, batch.class_set, False)
+    both = {(i, j): u for i, j, u in _upstreams(*labels, False)}
+    intra = {(i, j): u for i, j, u in _upstreams(*labels, True)}
     assert list(both) == [(0, 1)] and list(intra) == [(0, 0), (1, 1), (0, 1)]
     assert not np.array_equal(both[0, 1], intra[0, 1])
     args = (batch.source_features, batch.target_features, batch.source_labels.tolist(),

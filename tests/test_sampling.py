@@ -129,6 +129,10 @@ def test_class_aware_batch_rejects_labels_that_are_not_whole_numbers():
         class_aware_batch(BatchPlan.seeded(0), [0.5, 1.7], [0, 1], [0.2, 1.9], (0, 1))
     with pytest.raises(ValueError, match=r"labels \[0\.2, 1\.9\] are not whole numbers"):
         class_aware_batch(BatchPlan.seeded(0), [0, 1], [0, 1], [0.2, 1.9], (0, 1))
+    with pytest.raises(ValueError, match=r"labels \[0\.5, 1\.7\] are not whole numbers"):
+        class_aware_batch(BatchPlan.seeded(0), [0, 1], [0, 1], [0, 1], [0.5, 1.7])
+    with pytest.raises(ValueError, match="not whole numbers within int64"):
+        class_aware_batch(BatchPlan.seeded(0), [0, 1], [0, 1], [0, 1], [0, 2**64])
     a = class_aware_batch(BatchPlan.seeded(0), [0.0, 1.0], [0, 1], [0.0, 1.0], (0, 1))
     b = class_aware_batch(BatchPlan.seeded(0), [0, 1], [0, 1], [0, 1], (0, 1))
     assert a.classes == b.classes
